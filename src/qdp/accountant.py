@@ -11,7 +11,7 @@ accounting toolkit. All epsilons are in natural-log units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -34,9 +34,11 @@ __all__ = [
     "budget_sweep",
 ]
 
-# Orders used when calibrating noise; standard accountant grid, recorded in
-# calibration output via the docstring contract.
+# Orders used when calibrating noise; standard accountant grid.
 DEFAULT_ALPHA_GRID = (1.25, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+
+# Relative width of the bracket at which calibrate_sigma stops bisecting.
+CALIBRATION_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -69,25 +71,14 @@ class DpPoint:
 
 @dataclass(frozen=True)
 class MechanismSpec:
-    """Quantized Gaussian mechanism: noise scale, lattice, and L2 sensitivity.
+    """Quantized Gaussian mechanism: noise scale and lattice.
 
     The scalar worst case puts the two neighboring inputs at +-c_q/2, so the
-    sensitivity is pinned to c_q; passing anything else is rejected to keep
-    the Gaussian-baseline comparison apples-to-apples.
+    sensitivity is c_q, the same convention the Gaussian baseline uses.
     """
 
     noise: NoiseSpec
     quant: QuantizerSpec
-    sensitivity: float = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.sensitivity is None:
-            object.__setattr__(self, "sensitivity", self.quant.c_q)
-        elif self.sensitivity != self.quant.c_q:
-            raise ValueError(
-                f"sensitivity {self.sensitivity} must equal c_q={self.quant.c_q} "
-                "for the worst-case scalar analysis"
-            )
 
 
 def renyi_divergence(p: LevelPmf, q: LevelPmf, alpha: float) -> float:
@@ -189,13 +180,13 @@ def calibrate_sigma(
     rounds: int,
     sensitivity: float,
     alpha_grid=DEFAULT_ALPHA_GRID,
-    rel_tol: float = 1e-4,
 ) -> float:
     """Smallest Gaussian noise scale meeting ``target`` over ``rounds`` releases.
 
     Minimizes the converted epsilon over the order grid at each candidate
-    sigma and bisects to relative tolerance ``rel_tol``. Raises if the target
-    is unreachable at any noise scale (the conversion slack alone exceeds it).
+    sigma and bisects to relative tolerance CALIBRATION_REL_TOL. Raises if the
+    target is unreachable at any noise scale (the conversion slack alone
+    exceeds it).
     """
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds}")
@@ -229,7 +220,7 @@ def calibrate_sigma(
         if hi > 1e12:
             raise ValueError("no noise scale below 1e12 meets the target budget")
     lo = hi / 2.0 if hi > 1.0 else 1e-12
-    while (hi - lo) / hi > rel_tol:
+    while (hi - lo) / hi > CALIBRATION_REL_TOL:
         mid = 0.5 * (lo + hi)
         if converted_eps(mid) <= target.epsilon:
             hi = mid

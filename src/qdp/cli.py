@@ -17,34 +17,12 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__, accountant, flsim, lira
-from .flsim import FlRunConfig, SyntheticTaskSpec
+from .flsim import FlRunConfig
 from .lira import AttackConfig
 from .pmf import NoiseSpec
 from .quantizer import QuantizerSpec
 
 SEED_ENV_VAR = "QDP_SEED"
-
-_FL_KEYS = {
-    "n_clients_total": int,
-    "n_sampled": int,
-    "rounds": int,
-    "local_steps": int,
-    "learning_rate": float,
-    "batch_size": int,
-    "c_q": float,
-    "sigma": float,
-    "seed": int,
-    "dimension": int,
-    "samples_per_client": int,
-    "margin": float,
-    "test_samples": int,
-}
-_ATTACK_KEYS = {
-    "m_shadows": int,
-    "audit_size": int,
-    "shadow_steps": int,
-    "shadow_learning_rate": float,
-}
 
 
 @dataclass(frozen=True)
@@ -77,61 +55,31 @@ def parse_config(path: Path | str) -> dict[str, str]:
     return mapping
 
 
-def _convert(key: str, value: str, kind):
-    try:
-        return kind(value)
-    except ValueError as exc:
-        raise ValueError(f"config key {key!r}: cannot parse {value!r} as {kind.__name__}") from exc
-
-
-def _fl_config_from_mapping(mapping: dict[str, str], seed: int) -> FlRunConfig:
-    known = set(_FL_KEYS) | set(_ATTACK_KEYS) | {"k", "optimizer"}
+def _load_configs(args) -> tuple[FlRunConfig, AttackConfig]:
+    """Both configs from the file; the seed comes from --seed, the file, or QDP_SEED."""
+    mapping = parse_config(args.config)
+    if args.seed is not None:
+        mapping["seed"] = str(args.seed)
+    elif "seed" not in mapping:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            raise ValueError(
+                f"no seed given: pass --seed, set 'seed' in the config, or set {SEED_ENV_VAR}"
+            )
+        try:
+            mapping["seed"] = str(int(env))
+        except ValueError as exc:
+            raise ValueError(f"{SEED_ENV_VAR}: cannot parse {env!r} as int") from exc
+    fl_config = flsim.config_from_flat_mapping(FlRunConfig, mapping)
+    attack_config = flsim.config_from_flat_mapping(AttackConfig, mapping)
+    known = {
+        **flsim.config_as_flat_mapping(fl_config),
+        **flsim.config_as_flat_mapping(attack_config),
+    }
     for key in mapping:
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-    values = {}
-    for key, kind in _FL_KEYS.items():
-        if key in ("seed", "test_samples"):
-            continue
-        if key not in mapping:
-            raise ValueError(f"missing config key {key!r}")
-        values[key] = _convert(key, mapping[key], kind)
-    if "k" not in mapping:
-        raise ValueError("missing config key 'k' (an integer >= 2, or 'none')")
-    raw_k = mapping["k"].lower()
-    k = None if raw_k == "none" else _convert("k", mapping["k"], int)
-    task = SyntheticTaskSpec(
-        dimension=values.pop("dimension"),
-        samples_per_client=values.pop("samples_per_client"),
-        margin=values.pop("margin"),
-        test_samples=_convert("test_samples", mapping.get("test_samples", "2000"), int),
-    )
-    return FlRunConfig(
-        k=k,
-        seed=seed,
-        task=task,
-        optimizer=mapping.get("optimizer", "sgd"),
-        **values,
-    )
-
-
-def _attack_config_from_mapping(mapping: dict[str, str], seed: int) -> AttackConfig:
-    kwargs = {"seed": seed}
-    for key, kind in _ATTACK_KEYS.items():
-        if key in mapping:
-            kwargs[key] = _convert(key, mapping[key], kind)
-    return AttackConfig(**kwargs)
-
-
-def _resolve_seed(flag_seed: int | None, mapping: dict[str, str]) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    if "seed" in mapping:
-        return _convert("seed", mapping["seed"], int)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return _convert(SEED_ENV_VAR, env, int)
-    raise ValueError(f"no seed given: pass --seed, set 'seed' in the config, or set {SEED_ENV_VAR}")
+    return fl_config, attack_config
 
 
 def _write_manifest(command: str, config_path: str, seed: int, out_dir: Path) -> None:
@@ -170,28 +118,23 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fl_train(args) -> int:
-    mapping = parse_config(args.config)
-    seed = _resolve_seed(args.seed, mapping)
-    config = _fl_config_from_mapping(mapping, seed)
+    config, _ = _load_configs(args)
     result = flsim.train(config)
     out_dir = Path(args.out)
     flsim.write_run_artifact(result, out_dir)
-    _write_manifest("fl-train", str(args.config), seed, out_dir)
+    _write_manifest("fl-train", str(args.config), config.seed, out_dir)
     final_round, final_acc, final_loss = result.metrics[-1]
     print(f"round {final_round}: test_accuracy={final_acc:.4f} test_loss={final_loss:.4f}")
     return 0
 
 
 def _cmd_mia(args) -> int:
-    mapping = parse_config(args.config)
-    seed = _resolve_seed(args.seed, mapping)
-    fl_config = _fl_config_from_mapping(mapping, seed)
-    attack_config = _attack_config_from_mapping(mapping, seed)
+    fl_config, attack_config = _load_configs(args)
     report = lira.audit_run(fl_config, attack_config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     lira.write_report(report, fl_config, attack_config, out_dir / "report.json")
-    _write_manifest("mia", str(args.config), seed, out_dir)
+    _write_manifest("mia", str(args.config), fl_config.seed, out_dir)
     print(f"attack accuracy: {report.accuracy:.4f}")
     return 0
 

@@ -16,8 +16,10 @@ may be parallelized without changing results.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,17 +32,17 @@ __all__ = [
     "SyntheticTaskSpec",
     "FlRunConfig",
     "GlobalModel",
-    "ClientUpdate",
     "RunResult",
     "sample_mixture",
     "make_task_data",
     "cross_entropy_losses",
     "evaluate",
-    "fit_centralized",
-    "local_update",
+    "sgd",
     "privatize_delta",
     "aggregate",
     "train",
+    "config_as_flat_mapping",
+    "config_from_flat_mapping",
     "write_run_artifact",
 ]
 
@@ -95,7 +97,6 @@ class FlRunConfig:
     k: int | None
     seed: int
     task: SyntheticTaskSpec = field(default_factory=SyntheticTaskSpec)
-    optimizer: str = "sgd"
 
     def __post_init__(self):
         if not 1 <= self.n_sampled <= self.n_clients_total:
@@ -119,8 +120,6 @@ class FlRunConfig:
             raise ValueError(f"quantization level k must be >= 2 or None, got {self.k}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.optimizer != "sgd":
-            raise ValueError(f"unsupported optimizer {self.optimizer!r}; only 'sgd' is implemented")
 
 
 @dataclass(frozen=True)
@@ -129,14 +128,6 @@ class GlobalModel:
 
     weights: np.ndarray
     round: int
-
-
-@dataclass(frozen=True)
-class ClientUpdate:
-    """Privatized weight delta with its dataset-size coefficient |D_i|/|D|."""
-
-    delta: np.ndarray
-    weight_coeff: float
 
 
 @dataclass(frozen=True)
@@ -188,7 +179,8 @@ def evaluate(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[float, 
     return float(np.mean(correct)), float(np.mean(cross_entropy_losses(weights, x, y)))
 
 
-def fit_centralized(
+def sgd(
+    weights: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
     steps: int,
@@ -196,49 +188,27 @@ def fit_centralized(
     batch_size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Plain SGD on the logistic task from zero weights; used for shadow models."""
-    if len(y) == 0:
-        raise ValueError("cannot fit on an empty dataset")
-    weights = np.zeros(x.shape[1] + 1)
+    """Mini-batch SGD on the logistic loss starting from ``weights``; returns new weights.
+
+    Clients train from the global weights and shadow models from zeros. Each
+    step draws ``batch_size`` distinct indices from ``rng``, or takes the whole
+    set without drawing when the batch covers it. ``weights`` is not modified.
+    """
     n = len(y)
+    if n == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    weights = np.array(weights, dtype=float)
     for _ in range(steps):
         if batch_size < n:
             idx = rng.choice(n, size=batch_size, replace=False)
             bx, by = x[idx], y[idx]
         else:
             bx, by = x, y
-        weights = weights - learning_rate * _gradient(weights, bx, by)
+        weights -= learning_rate * _gradient(weights, bx, by)
     return weights
 
 
-def local_update(
-    model: GlobalModel,
-    client_data: tuple[np.ndarray, np.ndarray],
-    config: FlRunConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Run local mini-batch SGD from the global weights; returns new local weights."""
-    x, y = client_data
-    if len(y) == 0:
-        raise ValueError("client shard is empty")
-    weights = model.weights.copy()
-    n = len(y)
-    for _ in range(config.local_steps):
-        if config.batch_size < n:
-            idx = rng.choice(n, size=config.batch_size, replace=False)
-            bx, by = x[idx], y[idx]
-        else:
-            bx, by = x, y
-        weights -= config.learning_rate * _gradient(weights, bx, by)
-    return weights
-
-
-def privatize_delta(
-    delta: np.ndarray,
-    config: FlRunConfig,
-    rng: np.random.Generator,
-    weight_coeff: float = 1.0,
-) -> ClientUpdate:
+def privatize_delta(delta: np.ndarray, config: FlRunConfig, rng: np.random.Generator) -> np.ndarray:
     """Clip to c_q/2, add N(0, sigma^2) per coordinate, quantize onto the lattice.
 
     With sigma = 0 the noise stage is the identity; with k = None the
@@ -250,19 +220,18 @@ def privatize_delta(
         h = h + config.sigma * rng.standard_normal(np.shape(h))
     if config.k is not None:
         h = quantize(h, QuantizerSpec(k=config.k, c_q=config.c_q), rng)
-    return ClientUpdate(delta=h, weight_coeff=weight_coeff)
+    return h
 
 
-def aggregate(updates: list[ClientUpdate], model: GlobalModel) -> GlobalModel:
-    """Add the coefficient-weighted deltas, renormalized over the sampled set."""
-    if not updates:
+def aggregate(model: GlobalModel, deltas: list[np.ndarray], coeffs) -> GlobalModel:
+    """Add the deltas weighted by their coefficients |D_i|/|D|, renormalized over the sampled set."""
+    if len(deltas) == 0:
         raise ValueError("no client updates to aggregate")
-    coeffs = np.array([u.weight_coeff for u in updates])
+    coeffs = np.asarray(coeffs, dtype=float)
     total = coeffs.sum()
     if not total > 0:
         raise ValueError("aggregation coefficients must sum to a positive value")
-    deltas = np.stack([u.delta for u in updates])
-    weights = model.weights + (coeffs / total) @ deltas
+    weights = model.weights + (coeffs / total) @ np.stack(deltas)
     return GlobalModel(weights=weights, round=model.round + 1)
 
 
@@ -284,25 +253,27 @@ def train(config: FlRunConfig) -> RunResult:
         sampled = np.sort(
             sampling_rng.choice(config.n_clients_total, size=config.n_sampled, replace=False)
         )
-        updates = []
+        deltas, coeffs = [], []
         for i in sampled:
             if sizes[i] == 0:
                 logger.warning("round %d: skipping client %d with empty shard", t + 1, i)
                 continue
             client_rng = _stream(config.seed, _CLIENT_STREAM, t, int(i))
-            local_weights = local_update(model, shards[i], config, client_rng)
+            x, y = shards[i]
+            local_weights = sgd(
+                model.weights, x, y, config.local_steps, config.learning_rate,
+                config.batch_size, client_rng,
+            )
             if not np.all(np.isfinite(local_weights)):
                 raise RuntimeError(
                     f"training diverged: client {i} produced non-finite weights in round {t + 1}"
                 )
-            delta = local_weights - model.weights
-            updates.append(
-                privatize_delta(delta, config, client_rng, weight_coeff=sizes[i] / total_size)
-            )
-        if not updates:
+            deltas.append(privatize_delta(local_weights - model.weights, config, client_rng))
+            coeffs.append(sizes[i] / total_size)
+        if not deltas:
             logger.warning("round %d: no usable client updates, round skipped", t + 1)
         else:
-            model = aggregate(updates, model)
+            model = aggregate(model, deltas, coeffs)
         if not np.all(np.isfinite(model.weights)):
             raise RuntimeError(f"training diverged: non-finite weights after round {t + 1}")
         accuracy, loss = evaluate(model.weights, test_x, test_y)
@@ -310,25 +281,60 @@ def train(config: FlRunConfig) -> RunResult:
     return RunResult(config=config, model=model, metrics=metrics)
 
 
-def config_as_flat_mapping(config: FlRunConfig) -> dict[str, str]:
-    """Flatten a run config to the key=value schema used by config files."""
-    return {
-        "n_clients_total": str(config.n_clients_total),
-        "n_sampled": str(config.n_sampled),
-        "rounds": str(config.rounds),
-        "local_steps": str(config.local_steps),
-        "learning_rate": repr(config.learning_rate),
-        "batch_size": str(config.batch_size),
-        "c_q": repr(config.c_q),
-        "sigma": repr(config.sigma),
-        "k": "none" if config.k is None else str(config.k),
-        "seed": str(config.seed),
-        "optimizer": config.optimizer,
-        "dimension": str(config.task.dimension),
-        "samples_per_client": str(config.task.samples_per_client),
-        "margin": repr(config.task.margin),
-        "test_samples": str(config.task.test_samples),
-    }
+def config_as_flat_mapping(config) -> dict[str, str]:
+    """Flatten a config dataclass to the ``key = value`` schema of config files.
+
+    Keys are the field names in declaration order, with nested dataclass
+    fields (a run's ``task``) inlined. None is written as ``none`` and
+    booleans as ``true``/``false``; ``config_from_flat_mapping`` inverts this.
+    """
+    flat = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            flat.update(config_as_flat_mapping(value))
+        elif value is None:
+            flat[f.name] = "none"
+        elif isinstance(value, bool):
+            flat[f.name] = "true" if value else "false"
+        else:
+            flat[f.name] = str(value)
+    return flat
+
+
+def _parse_value(key: str, text: str, hint):
+    options = typing.get_args(hint)
+    if type(None) in options:
+        if text.lower() == "none":
+            return None
+        (hint,) = (t for t in options if t is not type(None))
+    try:
+        if hint is bool:
+            return {"true": True, "false": False}[text.lower()]
+        return hint(text)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"config key {key!r}: cannot parse {text!r} as {hint.__name__}") from exc
+
+
+def config_from_flat_mapping(cls, mapping: dict[str, str]):
+    """Build the config dataclass ``cls`` from the schema of ``config_as_flat_mapping``.
+
+    Values are parsed by each field's annotation; ``none`` (any case) gives
+    None where a field admits it. Keys that are not fields of ``cls`` are
+    left alone, so one file can carry several configs. A field without a
+    default must be present. Errors name the offending key.
+    """
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            values[f.name] = config_from_flat_mapping(hint, mapping)
+        elif f.name in mapping:
+            values[f.name] = _parse_value(f.name, mapping[f.name], hint)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ValueError(f"missing config key {f.name!r}")
+    return cls(**values)
 
 
 def write_run_artifact(result: RunResult, out_dir: Path | str) -> None:

@@ -42,10 +42,6 @@ _NONMEMBER_STREAM = 1
 _SHADOW_STREAM = 2
 
 
-def _attack_stream(*key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
-
-
 @dataclass(frozen=True)
 class AttackConfig:
     """Shadow-ensemble size, audit-set size, and the attack's own seed.
@@ -72,13 +68,16 @@ class AttackConfig:
             raise ValueError(f"audit_size must be even and >= 2, got {self.audit_size}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if self.shadow_steps is not None and self.shadow_steps < 1:
+            raise ValueError(f"shadow_steps must be >= 1, got {self.shadow_steps}")
+        if self.shadow_learning_rate is not None and self.shadow_learning_rate < 0:
+            raise ValueError("shadow_learning_rate must be nonnegative")
 
 
 @dataclass(frozen=True)
 class ShadowEnsemble:
-    """Shadow model weights plus per-sample non-membership loss statistics."""
+    """Per-sample non-membership loss statistics fitted on the shadow models."""
 
-    models: list[np.ndarray]
     per_sample_stats: dict[int, tuple[float, float]]
 
 
@@ -131,7 +130,7 @@ def fit_out_distribution(
     mu = losses.mean(axis=0)
     sd = np.maximum(losses.std(axis=0), SIGMA_FLOOR)
     stats = {sid: (float(m), float(s)) for sid, m, s in zip(sample_ids, mu, sd)}
-    return ShadowEnsemble(models=list(models), per_sample_stats=stats)
+    return ShadowEnsemble(per_sample_stats=stats)
 
 
 def score(loss: float, stats: tuple[float, float]) -> float:
@@ -199,9 +198,9 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
     result = flsim.train(fl_config)
     target_weights = result.model.weights
 
-    member_rng = _attack_stream(attack_config.seed, _MEMBER_STREAM)
+    member_rng = flsim._stream(attack_config.seed, _MEMBER_STREAM)
     member_ids = np.sort(member_rng.choice(n_train, size=half, replace=False))
-    nonmember_rng = _attack_stream(attack_config.seed, _NONMEMBER_STREAM)
+    nonmember_rng = flsim._stream(attack_config.seed, _NONMEMBER_STREAM)
     fresh_x, fresh_y = flsim.sample_mixture(nonmember_rng, half, fl_config.task)
 
     audit_x = np.vstack([train_x[member_ids], fresh_x])
@@ -215,17 +214,18 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
     lr = attack_config.shadow_learning_rate
     if lr is None:
         lr = fl_config.learning_rate
+    start = np.zeros(fl_config.task.dimension + 1)
     models = []
     next_shadow_id = n_train + half
     audit_id_set = set(audit_ids)
     for m in range(attack_config.m_shadows):
-        shadow_rng = _attack_stream(attack_config.seed, _SHADOW_STREAM, m)
+        shadow_rng = flsim._stream(attack_config.seed, _SHADOW_STREAM, m)
         sx, sy = flsim.sample_mixture(shadow_rng, n_train, fl_config.task)
         shadow_ids = set(range(next_shadow_id, next_shadow_id + n_train))
         next_shadow_id += n_train
         if shadow_ids & audit_id_set:
             raise AssertionError("shadow training shard overlaps the audit set")
-        models.append(flsim.fit_centralized(sx, sy, steps, lr, len(sy), shadow_rng))
+        models.append(flsim.sgd(start, sx, sy, steps, lr, len(sy), shadow_rng))
 
     transform = logit_scale if attack_config.logit_transform else None
     ensemble = fit_out_distribution(
@@ -253,13 +253,19 @@ def write_report(
     attack_config: AttackConfig,
     path: Path | str,
 ) -> None:
-    """Serialize an attack report as stable, pretty-printed JSON."""
+    """Serialize an attack report as stable, pretty-printed JSON.
+
+    The config echo holds every field of both configs in the config-file
+    schema, with the attack's ``seed`` under ``attack_seed``.
+    """
+    attack = {
+        ("attack_seed" if key == "seed" else key): value
+        for key, value in flsim.config_as_flat_mapping(attack_config).items()
+    }
     payload = {
         "config": {
             **flsim.config_as_flat_mapping(fl_config),
-            "m_shadows": str(attack_config.m_shadows),
-            "audit_size": str(attack_config.audit_size),
-            "attack_seed": str(attack_config.seed),
+            **attack,
             "accuracy_rule": ACCURACY_RULE,
         },
         "scores": {str(sid): s for sid, s in report.scores.items()},

@@ -43,7 +43,6 @@ class LevelPmf:
     """Probability mass over the k lattice levels for one mechanism input."""
 
     spec: QuantizerSpec
-    center: float
     probs: np.ndarray
 
     def __post_init__(self):
@@ -136,4 +135,4 @@ def quantized_gaussian_pmf(x: float, noise: NoiseSpec, spec: QuantizerSpec) -> L
             partial_first_moment(lo, mid, x, sigma)
             + _reverse_partial_first_moment(mid, hi, x, sigma)
         ) / delta
-    return LevelPmf(spec=spec, center=float(x), probs=probs)
+    return LevelPmf(spec=spec, probs=probs)

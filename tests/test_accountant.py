@@ -27,13 +27,13 @@ ALPHAS = (1.0, 1.5, 2.0, 4.0, 8.0, math.inf)
 
 def two_level_pmf(p0):
     spec = QuantizerSpec(k=2, c_q=1.0)
-    return LevelPmf(spec=spec, center=0.0, probs=np.array([p0, 1.0 - p0]))
+    return LevelPmf(spec=spec, probs=np.array([p0, 1.0 - p0]))
 
 
 def random_pmf_pair(rng, k):
     spec = QuantizerSpec(k=k, c_q=1.0)
-    p = LevelPmf(spec=spec, center=0.0, probs=rng.dirichlet(np.ones(k)))
-    q = LevelPmf(spec=spec, center=0.0, probs=rng.dirichlet(np.ones(k)))
+    p = LevelPmf(spec=spec, probs=rng.dirichlet(np.ones(k)))
+    q = LevelPmf(spec=spec, probs=rng.dirichlet(np.ones(k)))
     return p, q
 
 
@@ -61,21 +61,21 @@ class TestRenyiDivergence:
     def test_mismatched_lattices_rejected(self):
         p = two_level_pmf(0.5)
         spec = QuantizerSpec(k=2, c_q=2.0)
-        q = LevelPmf(spec=spec, center=0.0, probs=np.array([0.5, 0.5]))
+        q = LevelPmf(spec=spec, probs=np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="different lattices"):
             renyi_divergence(p, q, 2.0)
 
     def test_explicit_infinity_when_q_vanishes_on_support(self):
         spec = QuantizerSpec(k=3, c_q=1.0)
-        p = LevelPmf(spec=spec, center=0.0, probs=np.array([0.5, 0.5, 0.0]))
-        q = LevelPmf(spec=spec, center=0.0, probs=np.array([0.5, 0.0, 0.5]))
+        p = LevelPmf(spec=spec, probs=np.array([0.5, 0.5, 0.0]))
+        q = LevelPmf(spec=spec, probs=np.array([0.5, 0.0, 0.5]))
         for alpha in (1.0, 2.0, math.inf):
             assert renyi_divergence(p, q, alpha) == math.inf
 
     def test_zero_in_p_contributes_nothing(self):
         spec = QuantizerSpec(k=3, c_q=1.0)
-        p = LevelPmf(spec=spec, center=0.0, probs=np.array([0.0, 0.5, 0.5]))
-        q = LevelPmf(spec=spec, center=0.0, probs=np.array([0.2, 0.4, 0.4]))
+        p = LevelPmf(spec=spec, probs=np.array([0.0, 0.5, 0.5]))
+        q = LevelPmf(spec=spec, probs=np.array([0.2, 0.4, 0.4]))
         expected = 0.5 * math.log(0.5 / 0.4) * 2
         assert renyi_divergence(p, q, 1.0) == pytest.approx(expected, rel=1e-12)
 
@@ -87,17 +87,6 @@ class TestRenyiDivergence:
 
 def mech(sigma, k, c_q=1.0):
     return MechanismSpec(noise=NoiseSpec(sigma), quant=QuantizerSpec(k=k, c_q=c_q))
-
-
-class TestMechanismSpec:
-    def test_sensitivity_defaults_to_clip_radius(self):
-        assert mech(1.0, 4, c_q=2.0).sensitivity == 2.0
-
-    def test_rejects_inconsistent_sensitivity(self):
-        with pytest.raises(ValueError, match="must equal c_q"):
-            MechanismSpec(
-                noise=NoiseSpec(1.0), quant=QuantizerSpec(k=4, c_q=1.0), sensitivity=3.0
-            )
 
 
 class TestEpsilonOne:

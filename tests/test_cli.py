@@ -1,12 +1,26 @@
 import csv
 import json
 import math
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdp.accountant import MechanismSpec, epsilon_infinity, epsilon_one
 from qdp.cli import main, parse_config
+from qdp.flsim import (
+    FlRunConfig,
+    GlobalModel,
+    RunResult,
+    SyntheticTaskSpec,
+    config_as_flat_mapping,
+    config_from_flat_mapping,
+    write_run_artifact,
+)
+from qdp.lira import AttackConfig, AttackReport, write_report
 from qdp.pmf import NoiseSpec
 from qdp.quantizer import QuantizerSpec
 
@@ -194,6 +208,14 @@ class TestMia:
         assert code == 1
         assert "shadow" in err
 
+    @pytest.mark.parametrize("line", ["shadow_steps = 0", "shadow_learning_rate = -0.5"])
+    def test_bad_shadow_setting_rejected(self, capsys, tmp_path, quick_config, line):
+        bad = tmp_path / "bad.conf"
+        bad.write_text(quick_config.read_text() + line + "\n")
+        code, _, err = run(capsys, "mia", "--config", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert line.split(" = ")[0] in err
+
     def test_rerun_identical(self, capsys, tmp_path, quick_config):
         for name in ("a", "b"):
             run(
@@ -225,3 +247,89 @@ class TestConfigParser:
         path.write_text("a = 1\na = 2\n")
         with pytest.raises(ValueError, match="duplicate"):
             parse_config(path)
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def fl_configs(draw):
+    n_total = draw(st.integers(1, 1000))
+    task = SyntheticTaskSpec(
+        dimension=draw(st.integers(1, 500)),
+        samples_per_client=draw(st.integers(0, 500)),
+        margin=draw(st.floats(min_value=0.0, **finite)),
+        test_samples=draw(st.integers(1, 10**6)),
+    )
+    return FlRunConfig(
+        n_clients_total=n_total,
+        n_sampled=draw(st.integers(1, n_total)),
+        rounds=draw(st.integers(1, 10**4)),
+        local_steps=draw(st.integers(1, 10**4)),
+        learning_rate=draw(st.floats(min_value=0.0, **finite)),
+        batch_size=draw(st.integers(1, 10**4)),
+        c_q=draw(st.floats(min_value=0.0, exclude_min=True, **finite)),
+        sigma=draw(st.floats(min_value=0.0, **finite)),
+        k=draw(st.none() | st.integers(2, 10**6)),
+        seed=draw(st.integers(0, 2**63)),
+        task=task,
+    )
+
+
+attack_configs = st.builds(
+    AttackConfig,
+    m_shadows=st.integers(2, 10**4),
+    audit_size=st.integers(1, 10**4).map(lambda n: 2 * n),
+    seed=st.integers(0, 2**63),
+    shadow_steps=st.none() | st.integers(1, 10**6),
+    shadow_learning_rate=st.none() | st.floats(min_value=0.0, **finite),
+    logit_transform=st.booleans(),
+)
+
+
+class TestConfigSchema:
+    @settings(max_examples=200, deadline=None)
+    @given(fl_configs(), attack_configs)
+    def test_flat_mapping_round_trips(self, fl_config, attack_config):
+        for config in (fl_config, attack_config):
+            flat = config_as_flat_mapping(config)
+            assert config_from_flat_mapping(type(config), flat) == config
+
+    @settings(max_examples=50, deadline=None)
+    @given(fl_configs(), attack_configs)
+    def test_written_configs_parse_back(self, fl_config, attack_config):
+        # the run directory's config file and the report's config echo are
+        # both read back through the CLI's config-file parser
+        model = GlobalModel(weights=np.zeros(fl_config.task.dimension + 1), round=0)
+        report = AttackReport(scores={}, accuracy=0.5, roc_points=[(0.0, 0.0)])
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            write_run_artifact(RunResult(config=fl_config, model=model, metrics=[]), out)
+            mapping = parse_config(out / "config")
+            assert config_from_flat_mapping(FlRunConfig, mapping) == fl_config
+
+            write_report(report, fl_config, attack_config, out / "report.json")
+            echo = json.loads((out / "report.json").read_text())["config"]
+            (out / "echo.conf").write_text("".join(f"{k} = {v}\n" for k, v in echo.items()))
+            mapping = parse_config(out / "echo.conf")
+        assert config_from_flat_mapping(FlRunConfig, mapping) == fl_config
+        attack_mapping = {**mapping, "seed": mapping["attack_seed"]}
+        assert config_from_flat_mapping(AttackConfig, attack_mapping) == attack_config
+
+    def test_none_and_booleans_parse_in_any_case(self):
+        mapping = {"shadow_steps": "None", "shadow_learning_rate": "NONE", "logit_transform": "True"}
+        attack = config_from_flat_mapping(AttackConfig, mapping)
+        assert attack == AttackConfig(logit_transform=True)
+
+    @pytest.mark.parametrize(
+        "cls, key, value",
+        [
+            (FlRunConfig, "rounds", "2.5"),
+            (FlRunConfig, "k", "many"),
+            (AttackConfig, "logit_transform", "yes"),
+        ],
+    )
+    def test_parse_error_names_key(self, cls, key, value):
+        mapping = {**parse_config(CONFIGS / "mia_base.conf"), key: value}
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            config_from_flat_mapping(cls, mapping)

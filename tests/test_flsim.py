@@ -3,16 +3,16 @@ import pytest
 from scipy.special import expit
 
 from qdp.flsim import (
-    ClientUpdate,
     FlRunConfig,
     GlobalModel,
     SyntheticTaskSpec,
     aggregate,
+    config_from_flat_mapping,
     evaluate,
-    local_update,
     make_task_data,
     privatize_delta,
     sample_mixture,
+    sgd,
     train,
     write_run_artifact,
 )
@@ -53,10 +53,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="k must be"):
             make_config(k=1)
 
-    def test_only_sgd_supported(self):
-        with pytest.raises(ValueError, match="optimizer"):
-            make_config(optimizer="adam")
-
 
 class TestTaskData:
     def test_shapes_and_determinism(self):
@@ -79,43 +75,36 @@ class TestLocalUpdate:
     def test_zero_learning_rate_is_identity(self):
         config = make_config(learning_rate=0.0)
         shards, _ = make_task_data(config)
-        model = GlobalModel(weights=np.ones(6), round=0)
-        out = local_update(model, shards[0], config, philox(0))
+        x, y = shards[0]
+        out = sgd(
+            np.ones(6), x, y, config.local_steps, config.learning_rate, config.batch_size,
+            philox(0),
+        )
         np.testing.assert_array_equal(out, np.ones(6))
 
     def test_single_step_matches_hand_gradient(self):
         # one sample (x=2, y=1), weights (0.3, -0.1), lr 0.25: frozen by hand
-        config = make_config(
-            local_steps=1,
-            learning_rate=0.25,
-            batch_size=1,
-            task=SyntheticTaskSpec(dimension=1, samples_per_client=1, test_samples=1),
-        )
-        data = (np.array([[2.0]]), np.array([1.0]))
-        model = GlobalModel(weights=np.array([0.3, -0.1]), round=0)
-        out = local_update(model, data, config, philox(0))
+        out = sgd(np.array([0.3, -0.1]), np.array([[2.0]]), np.array([1.0]), 1, 0.25, 1, philox(0))
         np.testing.assert_allclose(
             out, [0.4887703343990727, -0.005614832800463654], atol=1e-12
         )
 
+    def test_leaves_start_weights_unchanged(self):
+        start = np.zeros(3)
+        x, y = sample_mixture(philox(5), 8, SyntheticTaskSpec(dimension=2))
+        out = sgd(start, x, y, 3, 0.5, 4, philox(6))
+        np.testing.assert_array_equal(start, np.zeros(3))
+        assert np.any(out != 0)
+
     def test_rejects_empty_shard(self):
-        config = make_config()
-        model = GlobalModel(weights=np.zeros(6), round=0)
         with pytest.raises(ValueError, match="empty"):
-            local_update(model, (np.zeros((0, 5)), np.zeros(0)), config, philox(0))
+            sgd(np.zeros(6), np.zeros((0, 5)), np.zeros(0), 5, 0.5, 8, philox(0))
 
     def test_converges_on_separable_task(self):
         # reference: an independent full-batch gradient-descent loop
         task = SyntheticTaskSpec(dimension=2, samples_per_client=40, margin=4.0, test_samples=1)
         x, y = sample_mixture(philox(3), 40, task)
-        config = make_config(
-            local_steps=200,
-            learning_rate=0.5,
-            batch_size=40,
-            task=task,
-        )
-        model = GlobalModel(weights=np.zeros(3), round=0)
-        out = local_update(model, (x, y), config, philox(4))
+        out = sgd(np.zeros(3), x, y, 200, 0.5, 40, philox(4))
 
         w_ref = np.zeros(3)
         for _ in range(200):
@@ -131,12 +120,12 @@ class TestPrivatizeDelta:
         config = make_config(sigma=0.0, k=None)
         delta = np.array([0.1, -0.2, 0.05, 0.0, 0.0, 0.0])
         update = privatize_delta(delta, config, philox(0))
-        np.testing.assert_array_equal(update.delta, delta)
+        np.testing.assert_array_equal(update, delta)
 
     def test_zero_delta_two_levels_symmetric(self):
         config = make_config(sigma=0.0, k=2, c_q=1.0)
         rng = philox(1)
-        out = np.stack([privatize_delta(np.zeros(6), config, rng).delta for _ in range(20_000)])
+        out = np.stack([privatize_delta(np.zeros(6), config, rng) for _ in range(20_000)])
         assert set(np.unique(out)) == {-1.0, 1.0}
         # each coordinate is +-1 with equal probability, so the mean drifts to 0
         assert abs(out.mean()) < 4 * np.sqrt(1.0 / out.size)
@@ -147,7 +136,7 @@ class TestPrivatizeDelta:
         for _ in range(50):
             delta = rng.normal(size=6)
             update = privatize_delta(delta, config, rng)
-            assert np.all(np.abs(update.delta) <= 1.0)
+            assert np.all(np.abs(update) <= 1.0)
 
     def test_scalar_pipeline_matches_analytic_pmf(self):
         # d=1 keeps the vector clip equal to the scalar clamp of the analysis
@@ -156,7 +145,7 @@ class TestPrivatizeDelta:
         # draw-by-draw, the operation is exactly clip -> noise -> quantize on
         # one stream; pin that so the bulk sampling below speaks for it
         for s in range(20):
-            via_op = privatize_delta(np.array([0.3]), config, philox(30, s)).delta
+            via_op = privatize_delta(np.array([0.3]), config, philox(30, s))
             rng = philox(30, s)
             noisy = clip_vector(np.array([0.3]), 0.5) + 0.5 * rng.standard_normal(1)
             np.testing.assert_array_equal(via_op, quantize(noisy, spec, rng))
@@ -179,7 +168,7 @@ class TestPrivatizeDelta:
         total = np.zeros(6)
         total_sq = np.zeros(6)
         for _ in range(n):
-            out = privatize_delta(delta, config, rng).delta
+            out = privatize_delta(delta, config, rng)
             total += out
             total_sq += out**2
         mean = total / n
@@ -191,52 +180,40 @@ class TestPrivatizeDelta:
 class TestAggregate:
     def test_equal_coefficients(self):
         model = GlobalModel(weights=np.zeros(2), round=0)
-        updates = [
-            ClientUpdate(delta=np.array([1.0, 1.0]), weight_coeff=0.5),
-            ClientUpdate(delta=np.array([3.0, 3.0]), weight_coeff=0.5),
-        ]
-        out = aggregate(updates, model)
+        out = aggregate(model, [np.array([1.0, 1.0]), np.array([3.0, 3.0])], [0.5, 0.5])
         np.testing.assert_allclose(out.weights, [2.0, 2.0])
         assert out.round == 1
 
     def test_single_client_adds_delta(self):
         model = GlobalModel(weights=np.array([1.0, 2.0]), round=3)
-        out = aggregate([ClientUpdate(delta=np.array([0.5, -0.5]), weight_coeff=0.7)], model)
+        out = aggregate(model, [np.array([0.5, -0.5])], [0.7])
         np.testing.assert_allclose(out.weights, [1.5, 1.5])
         assert out.round == 4
 
     def test_renormalizes_over_sampled_set(self):
         # coefficients 0.25 each (|D_i|/|D| with 4 equal shards), 2 sampled
         model = GlobalModel(weights=np.zeros(1), round=0)
-        updates = [
-            ClientUpdate(delta=np.array([2.0]), weight_coeff=0.25),
-            ClientUpdate(delta=np.array([4.0]), weight_coeff=0.25),
-        ]
-        out = aggregate(updates, model)
+        out = aggregate(model, [np.array([2.0]), np.array([4.0])], [0.25, 0.25])
         np.testing.assert_allclose(out.weights, [3.0])
 
     def test_partition_linearity(self):
         rng = philox(5)
         model = GlobalModel(weights=rng.normal(size=4), round=0)
-        updates = [
-            ClientUpdate(delta=rng.normal(size=4), weight_coeff=c)
-            for c in (0.1, 0.2, 0.3, 0.4)
-        ]
-        whole = aggregate(updates, model)
+        deltas = [rng.normal(size=4) for _ in range(4)]
+        coeffs = np.array([0.1, 0.2, 0.3, 0.4])
+        whole = aggregate(model, deltas, coeffs)
         # collapse each half into its coefficient-weighted mean, then combine
         def collapse(part):
-            coeffs = np.array([u.weight_coeff for u in part])
-            deltas = np.stack([u.delta for u in part])
-            return ClientUpdate(
-                delta=(coeffs / coeffs.sum()) @ deltas, weight_coeff=float(coeffs.sum())
-            )
+            c = coeffs[part]
+            return (c / c.sum()) @ np.stack(deltas)[part], float(c.sum())
 
-        split = aggregate([collapse(updates[:2]), collapse(updates[2:])], model)
+        (d1, c1), (d2, c2) = collapse(slice(0, 2)), collapse(slice(2, 4))
+        split = aggregate(model, [d1, d2], [c1, c2])
         np.testing.assert_allclose(split.weights, whole.weights, atol=1e-12)
 
     def test_empty_updates_rejected(self):
         with pytest.raises(ValueError, match="no client updates"):
-            aggregate([], GlobalModel(weights=np.zeros(1), round=0))
+            aggregate(GlobalModel(weights=np.zeros(1), round=0), [], [])
 
 
 class TestTrain:
@@ -307,12 +284,12 @@ class TestRunArtifact:
         assert len(lines) == 1 + config.rounds
 
     def test_config_file_round_trips_through_cli_parser(self, tmp_path):
-        from qdp.cli import _fl_config_from_mapping, parse_config
+        from qdp.cli import parse_config
 
         config = make_config(sigma=0.25, k=16, seed=9)
         write_run_artifact(train(config), tmp_path)
         mapping = parse_config(tmp_path / "config")
-        assert _fl_config_from_mapping(mapping, seed=9) == config
+        assert config_from_flat_mapping(FlRunConfig, mapping) == config
 
 
 class TestUtilityTrend:

@@ -49,6 +49,19 @@ class TestAttackConfig:
         with pytest.raises(ValueError, match="even"):
             AttackConfig(audit_size=63)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_rejects_shadow_steps_below_one(self, steps):
+        with pytest.raises(ValueError, match="shadow_steps"):
+            AttackConfig(shadow_steps=steps)
+
+    def test_rejects_negative_shadow_learning_rate(self):
+        with pytest.raises(ValueError, match="shadow_learning_rate"):
+            AttackConfig(shadow_learning_rate=-0.1)
+
+    def test_accepts_set_shadow_settings(self):
+        attack = AttackConfig(shadow_steps=1, shadow_learning_rate=0.0)
+        assert (attack.shadow_steps, attack.shadow_learning_rate) == (1, 0.0)
+
 
 class TestFitOutDistribution:
     def test_population_convention(self):

@@ -80,11 +80,11 @@ class TestLevelPmfValidation:
     def test_rejects_bad_shapes_and_values(self):
         spec = QuantizerSpec(k=3, c_q=1.0)
         with pytest.raises(ValueError, match="one probability per level"):
-            LevelPmf(spec=spec, center=0.0, probs=np.array([0.5, 0.5]))
+            LevelPmf(spec=spec, probs=np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="negative"):
-            LevelPmf(spec=spec, center=0.0, probs=np.array([-0.1, 0.6, 0.5]))
+            LevelPmf(spec=spec, probs=np.array([-0.1, 0.6, 0.5]))
         with pytest.raises(ValueError, match="sums to"):
-            LevelPmf(spec=spec, center=0.0, probs=np.array([0.5, 0.5, 0.5]))
+            LevelPmf(spec=spec, probs=np.array([0.5, 0.5, 0.5]))
 
 
 class TestQuantizedGaussianPmf:
