@@ -2,7 +2,7 @@
 
 Sweeps the quantization level k from 2 to 64 at sigma = 1, c_q = 1 and
 prints both budgets of the quantized mechanism next to the Gaussian
-baseline at alpha = 1. Two things to notice in the output:
+baseline at alpha = 1. Three things to notice in the output:
 
   * eps1 grows with k: coarser quantization (smaller k) leaks less.
   * every eps1 sits below the Gaussian baseline of 0.5, so quantization

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .pmf import LevelPmf, NoiseSpec, partial_first_moment, quantized_gaussian_pmf
+from .pmf import LevelPmf, NoiseSpec, log_cell_moments, log_level_probs
 from .quantizer import QuantizerSpec
 
 __all__ = [
@@ -36,9 +36,6 @@ __all__ = [
 
 # Orders used when calibrating noise; standard accountant grid.
 DEFAULT_ALPHA_GRID = (1.25, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
-
-# Relative width of the bracket at which calibrate_sigma stops bisecting.
-CALIBRATION_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -110,11 +107,13 @@ def renyi_divergence(p: LevelPmf, q: LevelPmf, alpha: float) -> float:
 
 
 def epsilon_one(mech: MechanismSpec) -> float:
-    """alpha = 1 budget: KL divergence between the extremal-input pmfs."""
-    half = mech.quant.c_q / 2.0
-    p = quantized_gaussian_pmf(+half, mech.noise, mech.quant)
-    q = quantized_gaussian_pmf(-half, mech.noise, mech.quant)
-    return renyi_divergence(p, q, 1.0)
+    """alpha = 1 budget: KL divergence between the extremal-input pmfs.
+
+    The pmf at -c_q/2 mirrors the one at +c_q/2, so one set of log masses
+    gives both sides, and the sum stays finite where masses underflow.
+    """
+    log_p = log_level_probs(mech.quant.c_q / 2.0, mech.noise, mech.quant)
+    return max(float(np.dot(np.exp(log_p), log_p - log_p[::-1])), 0.0)
 
 
 def epsilon_infinity(mech: MechanismSpec) -> float:
@@ -124,11 +123,10 @@ def epsilon_infinity(mech: MechanismSpec) -> float:
     Finite and positive for every valid configuration, unlike the Gaussian
     baseline whose alpha -> infinity budget diverges.
     """
-    quant = mech.quant
-    top_lo = quant.level(quant.k - 2)
-    top_hi = quant.level(quant.k - 1)
-    m = float(partial_first_moment(top_lo, top_hi, -quant.c_q / 2.0, mech.noise.sigma))
-    return math.log(quant.delta / m)
+    quant, sigma, half = mech.quant, mech.noise.sigma, mech.quant.c_q / 2.0
+    top_cell = (np.array([quant.level(quant.k - 2), quant.c_q]) + half) / sigma
+    log_fwd, _ = log_cell_moments(*top_cell)
+    return math.log(quant.delta / sigma) - float(log_fwd)
 
 
 def gaussian_rdp_baseline(sensitivity: float, sigma: float, alpha: float) -> RdpPoint:
@@ -148,13 +146,13 @@ def gaussian_rdp_baseline(sensitivity: float, sigma: float, alpha: float) -> Rdp
 
 
 def compose(points: list[RdpPoint]) -> RdpPoint:
-    """Additive RDP composition of mechanisms sharing one Renyi order."""
+    """Additive RDP composition of mechanisms sharing one Renyi order, summed exactly."""
     if not points:
         raise ValueError("cannot compose an empty list of RDP points")
     alpha = points[0].alpha
     if any(pt.alpha != alpha for pt in points):
         raise ValueError("composition requires a common Renyi order")
-    return RdpPoint(alpha=alpha, epsilon=sum(pt.epsilon for pt in points))
+    return RdpPoint(alpha=alpha, epsilon=math.fsum(pt.epsilon for pt in points))
 
 
 def rdp_to_dp(point: RdpPoint, delta: float) -> DpPoint:
@@ -175,58 +173,36 @@ def rdp_to_dp(point: RdpPoint, delta: float) -> DpPoint:
     )
 
 
-def calibrate_sigma(
-    target: DpPoint,
-    rounds: int,
-    sensitivity: float,
-    alpha_grid=DEFAULT_ALPHA_GRID,
-) -> float:
+def calibrate_sigma(target: DpPoint, rounds: int, sensitivity: float) -> float:
     """Smallest Gaussian noise scale meeting ``target`` over ``rounds`` releases.
 
-    Minimizes the converted epsilon over the order grid at each candidate
-    sigma and bisects to relative tolerance CALIBRATION_REL_TOL. Raises if the
-    target is unreachable at any noise scale (the conversion slack alone
-    exceeds it).
+    At order alpha the composed, converted budget is
+    rounds*alpha*s^2/(2*sigma^2) + log(1/delta)/(alpha - 1), so each order on
+    DEFAULT_ALPHA_GRID has a closed-form noise scale; the smallest one wins,
+    nudged up by ulps until the composition route meets the target too.
+    Raises if the target is unreachable at any noise scale (the conversion
+    slack alone exceeds it).
     """
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds}")
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-    grid = tuple(alpha_grid)
-    if not grid or any(not a > 1 for a in grid):
-        raise ValueError("alpha grid must be nonempty with every order > 1")
-
-    def converted_eps(sigma: float) -> float:
-        best = math.inf
-        for alpha in grid:
-            point = gaussian_rdp_baseline(sensitivity, sigma, alpha)
-            total = compose([point] * rounds)
-            best = min(best, rdp_to_dp(total, target.delta).epsilon)
-        return best
-
-    # The sigma -> inf limit leaves only the conversion slack.
-    floor = min(math.log(1.0 / target.delta) / (a - 1.0) for a in grid)
-    if target.epsilon <= floor:
+    slack = {a: math.log(1.0 / target.delta) / (a - 1.0) for a in DEFAULT_ALPHA_GRID}
+    if target.epsilon <= min(slack.values()):
         raise ValueError(
             f"target epsilon {target.epsilon} is unreachable: conversion slack "
-            f"alone is {floor:.6g} on the given alpha grid"
+            f"alone is {min(slack.values()):.6g} on the order grid"
         )
-    lo = 1e-12
-    if converted_eps(lo) <= target.epsilon:
-        return lo
-    hi = 1.0
-    while converted_eps(hi) > target.epsilon:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("no noise scale below 1e12 meets the target budget")
-    lo = hi / 2.0 if hi > 1.0 else 1e-12
-    while (hi - lo) / hi > CALIBRATION_REL_TOL:
-        mid = 0.5 * (lo + hi)
-        if converted_eps(mid) <= target.epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    sigma, alpha = min(
+        (sensitivity * math.sqrt(rounds * a / (2.0 * (target.epsilon - s))), a)
+        for a, s in slack.items()
+        if target.epsilon > s
+    )
+    while rdp_to_dp(
+        compose([gaussian_rdp_baseline(sensitivity, sigma, alpha)] * rounds), target.delta
+    ).epsilon > target.epsilon:
+        sigma = math.nextafter(sigma, math.inf)
+    return sigma
 
 
 @dataclass(frozen=True)

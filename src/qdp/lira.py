@@ -22,7 +22,6 @@ from .pmf import gaussian_cdf
 
 __all__ = [
     "AttackConfig",
-    "ShadowEnsemble",
     "AttackReport",
     "logit_scale",
     "fit_out_distribution",
@@ -75,13 +74,6 @@ class AttackConfig:
 
 
 @dataclass(frozen=True)
-class ShadowEnsemble:
-    """Per-sample non-membership loss statistics fitted on the shadow models."""
-
-    per_sample_stats: dict[int, tuple[float, float]]
-
-
-@dataclass(frozen=True)
 class AttackReport:
     """Per-sample membership scores with the attack's headline numbers."""
 
@@ -103,78 +95,66 @@ def logit_scale(losses):
     return np.where(l > 30.0, l, np.log(np.expm1(np.minimum(l, 30.0))))
 
 
-def fit_out_distribution(
-    models: list[np.ndarray],
-    audit_x: np.ndarray,
-    audit_y: np.ndarray,
-    sample_ids=None,
-    transform=None,
-) -> ShadowEnsemble:
+def fit_out_distribution(models: list[np.ndarray], x: np.ndarray, y: np.ndarray, transform=None):
     """Per-sample mean and (population) std of the shadow-model losses.
 
-    The caller is responsible for the offline guarantee that no audit sample
-    appears in any shadow training set. Standard deviations are floored at
-    SIGMA_FLOOR. ``transform``, if given, is applied to the loss matrix
-    before fitting (see ``logit_scale``).
+    Returns two arrays, one entry per row of ``x``. The caller is responsible
+    for the offline guarantee that no audit sample appears in any shadow
+    training set. Standard deviations are floored at SIGMA_FLOOR.
+    ``transform``, if given, is applied to the loss matrix before fitting
+    (see ``logit_scale``).
     """
     if len(models) < 2:
         raise ValueError(f"need at least 2 shadow models, got {len(models)}")
-    if sample_ids is None:
-        sample_ids = range(len(audit_y))
-    sample_ids = list(sample_ids)
-    if len(sample_ids) != len(audit_y):
-        raise ValueError("sample_ids and audit set sizes differ")
-    losses = np.stack([flsim.cross_entropy_losses(w, audit_x, audit_y) for w in models])
+    losses = np.stack([flsim.cross_entropy_losses(w, x, y) for w in models])
     if transform is not None:
         losses = transform(losses)
-    mu = losses.mean(axis=0)
-    sd = np.maximum(losses.std(axis=0), SIGMA_FLOOR)
-    stats = {sid: (float(m), float(s)) for sid, m, s in zip(sample_ids, mu, sd)}
-    return ShadowEnsemble(per_sample_stats=stats)
+    return losses.mean(axis=0), np.maximum(losses.std(axis=0), SIGMA_FLOOR)
 
 
-def score(loss: float, stats: tuple[float, float]) -> float:
-    """Pr[loss under non-membership exceeds the observed loss].
+def score(loss, mu_out, sigma_out):
+    """Pr[loss under non-membership exceeds the observed loss], elementwise.
 
     Near 1 when the observed loss is far below the non-member fit
     (member-like), 0.5 at the fitted mean, near 0 far above it.
     """
-    mu_out, sigma_out = stats
-    if not sigma_out > 0:
-        raise ValueError(f"sigma_out must be positive, got {sigma_out}")
-    return float(1.0 - gaussian_cdf((loss - mu_out) / sigma_out))
+    sigma_out = np.asarray(sigma_out, dtype=float)
+    if not np.all(sigma_out > 0):
+        raise ValueError(f"sigma_out must be positive, got {np.min(sigma_out)}")
+    return 1.0 - gaussian_cdf((np.asarray(loss, dtype=float) - mu_out) / sigma_out)
 
 
-def attack_accuracy(scores: dict[int, float], membership: dict[int, bool]) -> AttackReport:
+def attack_accuracy(scores, is_member) -> tuple[float, list[tuple[float, float]]]:
     """Best balanced accuracy and ROC sweep of `score >= threshold` rules.
 
-    Requires a balanced audit set; ties between equally good thresholds go to
-    the lower one.
+    Takes positional arrays of scores and membership flags; requires a
+    balanced audit set. One sort gives, for every distinct score used as
+    threshold, the members and non-members scoring below it, so the sweep
+    is O(n log n). ROC points run from (0, 0) through the thresholds in
+    descending order as (FPR, TPR).
     """
-    if set(scores) != set(membership):
-        raise ValueError("scores and membership must cover the same sample ids")
-    ids = sorted(scores)
-    s = np.array([scores[i] for i in ids])
-    truth = np.array([bool(membership[i]) for i in ids])
-    n_members = int(truth.sum())
-    if n_members * 2 != len(truth):
+    s = np.asarray(scores, dtype=float)
+    truth = np.asarray(is_member, dtype=bool)
+    if s.shape != truth.shape:
         raise ValueError(
-            f"audit set must be balanced: {n_members} members vs "
-            f"{len(truth) - n_members} non-members"
+            f"scores and membership must have the same length: {s.shape} vs {truth.shape}"
         )
-    best = 0.0
-    for threshold in np.unique(s):  # ascending: ties resolve to the lower threshold
-        predicted = s >= threshold
-        tpr = float(np.mean(predicted[truth]))
-        tnr = float(np.mean(~predicted[~truth]))
-        balanced = 0.5 * (tpr + tnr)
-        if balanced > best:
-            best = balanced
-    roc = [(0.0, 0.0)]
-    for threshold in np.unique(s)[::-1]:
-        predicted = s >= threshold
-        roc.append((float(np.mean(predicted[~truth])), float(np.mean(predicted[truth]))))
-    return AttackReport(scores=dict(scores), accuracy=best, roc_points=roc)
+    n_members = int(truth.sum())
+    n_nonmembers = len(truth) - n_members
+    if n_members != n_nonmembers:
+        raise ValueError(
+            f"audit set must be balanced: {n_members} members vs {n_nonmembers} non-members"
+        )
+    order = np.argsort(s, kind="stable")
+    ranked = s[order]
+    # each distinct score is a threshold; its first rank counts the samples below it
+    below = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    members_below = np.concatenate(([0], np.cumsum(truth[order])))[below]
+    nonmembers_below = below - members_below
+    tpr = (n_members - members_below) / n_members
+    fpr = (n_nonmembers - nonmembers_below) / n_nonmembers
+    accuracy = float(np.max(0.5 * (tpr + nonmembers_below / n_nonmembers)))
+    return accuracy, [(0.0, 0.0)] + list(zip(fpr[::-1].tolist(), tpr[::-1].tolist()))
 
 
 def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackReport:
@@ -205,8 +185,8 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
 
     audit_x = np.vstack([train_x[member_ids], fresh_x])
     audit_y = np.concatenate([train_y[member_ids], fresh_y])
-    audit_ids = list(member_ids) + list(range(n_train, n_train + half))
-    membership = {sid: i < half for i, sid in enumerate(audit_ids)}
+    audit_ids = member_ids.tolist() + list(range(n_train, n_train + half))
+    is_member = np.arange(2 * half) < half
 
     steps = attack_config.shadow_steps
     if steps is None:
@@ -228,21 +208,16 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
         models.append(flsim.sgd(start, sx, sy, steps, lr, len(sy), shadow_rng))
 
     transform = logit_scale if attack_config.logit_transform else None
-    ensemble = fit_out_distribution(
-        models, audit_x, audit_y, sample_ids=audit_ids, transform=transform
-    )
+    mu_out, sigma_out = fit_out_distribution(models, audit_x, audit_y, transform=transform)
     target_losses = flsim.cross_entropy_losses(target_weights, audit_x, audit_y)
     if transform is not None:
         target_losses = transform(target_losses)
-    scores = {
-        sid: score(float(l), ensemble.per_sample_stats[sid])
-        for sid, l in zip(audit_ids, target_losses)
-    }
-    report = attack_accuracy(scores, membership)
+    scores = score(target_losses, mu_out, sigma_out)
+    accuracy, roc_points = attack_accuracy(scores, is_member)
     return AttackReport(
-        scores=report.scores,
-        accuracy=report.accuracy,
-        roc_points=report.roc_points,
+        scores=dict(zip(audit_ids, scores.tolist())),
+        accuracy=accuracy,
+        roc_points=roc_points,
         seeds=(fl_config.seed, attack_config.seed),
     )
 

@@ -2,9 +2,9 @@
 
 Adding N(0, sigma^2) noise to a scalar and stochastically quantizing the
 result produces a discrete distribution over the k lattice levels. This
-module evaluates that distribution in closed form from Gaussian CDF
-differences and partial first moments; numeric quadrature is never used on
-the main path (the test suite keeps it as an independent oracle).
+module evaluates its log masses from log-space moments of Gaussian cells,
+so masses far in the tails stay finite; numeric quadrature is never used
+(the test suite keeps it as an independent oracle).
 """
 
 from __future__ import annotations
@@ -21,10 +21,16 @@ __all__ = [
     "LevelPmf",
     "gaussian_cdf",
     "partial_first_moment",
+    "log_cell_moments",
+    "log_level_probs",
     "quantized_gaussian_pmf",
 ]
 
 _NORM_TOL = 1e-9
+_SQRT2, _SQRT_HALF_PI, _LOG_SQRT_2PI = np.sqrt(2.0), np.sqrt(np.pi / 2), 0.5 * np.log(2 * np.pi)
+# Below this standardized width the closed forms lose more than ~1e-11 of
+# a cell moment to cancellation, and a Taylor series takes over.
+_NARROW_CELL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -73,43 +79,91 @@ def gaussian_cdf(z):
     return special.ndtr(z)
 
 
-def _norm_pdf(t, mu, sigma):
-    z = (np.asarray(t, dtype=float) - mu) / sigma
-    return np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
+def _narrow_cell(a, b):
+    # Taylor series phi(a + u) / phi(a) = sum_n d_n (u/w)^n with
+    # d_{n+1} = -(a w d_n + w^2 d_{n-1}) / (n+1), integrated against u and
+    # w - u over [0, w]; the terms fall faster than 1/n! for w b < 1, b >= |a|
+    w = b - a
+    d_prev, d = np.zeros_like(a), np.ones_like(a)
+    fwd, rev = np.zeros_like(a), np.zeros_like(a)
+    n = 0
+    while np.max(np.abs(d) + np.abs(d_prev)) > 1e-17:
+        fwd += d / (n + 2)
+        rev += d / ((n + 1) * (n + 2))
+        d_prev, d = d, (a * w * d + w * w * d_prev) * (-1.0 / (n + 1))
+        n += 1
+    return w * w * fwd, w * w * rev
+
+
+def _tail_cell(a, b):
+    # A cell above the mean: both moments over phi(a), from the Mills ratio
+    # m(z) = (1 - Phi(z)) / phi(z) and the tail gap 1 - z m(z) = E[(Z - z)+] / phi(z)
+    # at z = a, b. The gap, ~1/z^2, loses ~z^2 ulps to cancellation: past
+    # z = 1e4 its leading term is closer, and either way the loss is ~1 ulp
+    # of log phi(a) = -z^2/2, which dominates the log moment there.
+    z = np.stack((a, b))
+    mills = _SQRT_HALF_PI * special.erfcx(z / _SQRT2)
+    gap = np.where(z > 1e4, 1.0 / np.maximum(z, 1.0) ** 2, 1.0 - z * mills)
+    w = b - a
+    decay = np.exp(-0.5 * w * (a + b))  # phi(b) / phi(a)
+    fwd = gap[0] - decay * (gap[1] + w * mills[1])
+    return fwd, w * (mills[0] - decay * mills[1]) - fwd
+
+
+def _mean_cell(a, b):
+    # The cell holding the mean; phi(a) - phi(b), with a nearer the mean than b
+    drop = -np.exp(-0.5 * a * a - _LOG_SQRT_2PI) * np.expm1(-0.5 * (b - a) * (b + a))
+    mass = gaussian_cdf(b) - gaussian_cdf(a)
+    return drop - a * mass, b * mass - drop
+
+
+def log_cell_moments(lo, hi):
+    """Logs of int phi(s) (s - lo) ds and int phi(s) (hi - s) ds over [lo, hi].
+
+    Elementwise, phi the standard normal density. A cell centred below the
+    mean is the mirror image of one above it, with the moments swapped.
+    Cells above the mean factor out phi(lo), so tail masses keep their full
+    exponent; the cell holding the mean uses CDF differences, and narrow
+    cells, where those closed forms would cancel, a Taylor series in the width.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    below = lo + hi < 0
+    a, b = np.where(below, -hi, lo), np.where(below, -lo, hi)  # now b >= |a|
+    narrow = (b - a < _NARROW_CELL) & ((b - a) * b < 1.0)
+    at_mean = ~narrow & (a < 0)
+    tail = ~narrow & ~at_mean
+    fwd, rev = np.empty(a.shape), np.empty(a.shape)
+    for branch, mask in (_narrow_cell, narrow), (_tail_cell, tail), (_mean_cell, at_mean):
+        if mask.any():
+            fwd[mask], rev[mask] = branch(a[mask], b[mask])
+    with np.errstate(divide="ignore"):
+        log_scale = np.where(at_mean, 0.0, -0.5 * a * a - _LOG_SQRT_2PI)  # log phi(a)
+        log_fwd = log_scale + np.log(np.maximum(fwd, 0.0))
+        log_rev = log_scale + np.log(np.maximum(rev, 0.0))
+    return np.where(below, log_rev, log_fwd), np.where(below, log_fwd, log_rev)
 
 
 def partial_first_moment(a, b, mu, sigma: float):
     """Integral of f(t) * (t - a) over [a, b], with f the density of N(mu, sigma^2).
 
-    Closed form: (mu - a) * (Phi_b - Phi_a) + sigma^2 * (phi_a - phi_b), where
-    Phi and phi are the CDF and pdf of N(mu, sigma^2). The integrand is
-    nonnegative, so the result is floored at 0 to absorb rounding.
+    sigma times the first ``log_cell_moments`` of the standardized cell, so
+    it keeps full relative accuracy until it underflows.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if np.any(a > b):
         raise ValueError("partial first moment needs a <= b")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    cdf_term = (mu - a) * (gaussian_cdf((b - mu) / sigma) - gaussian_cdf((a - mu) / sigma))
-    pdf_term = sigma**2 * (_norm_pdf(a, mu, sigma) - _norm_pdf(b, mu, sigma))
-    return np.maximum(cdf_term + pdf_term, 0.0)
+    log_fwd, _ = log_cell_moments((a - mu) / sigma, (b - mu) / sigma)
+    return sigma * np.exp(log_fwd)
 
 
-def _reverse_partial_first_moment(a, b, mu, sigma: float):
-    # int_a^b f(t) * (b - t) dt via the reflection t -> -t, avoiding the
-    # cancellation-prone difference delta*(Phi_b - Phi_a) - forward moment.
-    return partial_first_moment(-np.asarray(b, float), -np.asarray(a, float), -mu, sigma)
-
-
-def quantized_gaussian_pmf(x: float, noise: NoiseSpec, spec: QuantizerSpec) -> LevelPmf:
-    """Distribution of quantize(x + N(0, sigma^2)) over the lattice levels.
+def log_level_probs(x: float, noise: NoiseSpec, spec: QuantizerSpec) -> np.ndarray:
+    """Natural logs of the level masses of quantize(x + N(0, sigma^2)).
 
     The input must lie in [-c_q/2, +c_q/2], the range the privacy analysis
-    needs. Mass pushed beyond the lattice ends by noise is absorbed into the
-    boundary levels (the quantizer clips before rounding); interior levels
-    collect the proximity-weighted mass of their two flanking cells. Tail
-    terms use the complementary CDF so extreme-tail level masses survive.
+    needs. Every term stays in log space, so each log mass is finite and
+    accurate even where the mass itself underflows.
     """
     half = spec.c_q / 2.0
     if not -half <= x <= half:
@@ -117,22 +171,16 @@ def quantized_gaussian_pmf(x: float, noise: NoiseSpec, spec: QuantizerSpec) -> L
             f"input {x} outside the admissible interval [{-half}, {half}] "
             f"(inputs must be pre-clipped to c_q/2)"
         )
-    sigma = noise.sigma
-    edges = spec.levels()
-    delta = spec.delta
-    k = spec.k
+    z = (spec.levels() - x) / noise.sigma
+    log_width = np.log(spec.delta / noise.sigma)
+    log_fwd, log_rev = log_cell_moments(z[:-1], z[1:])
+    # level r takes the mass rounded up from cell r - 1 and down from cell r,
+    # and the end levels also take the noise clipped past them
+    log_probs = np.logaddexp(np.append(-np.inf, log_fwd), np.append(log_rev, -np.inf)) - log_width
+    log_probs[[0, -1]] = np.logaddexp(log_probs[[0, -1]], special.log_ndtr([z[0], -z[-1]]))
+    return log_probs
 
-    probs = np.empty(k)
-    # Lower boundary: everything below B(0), plus the proximity share of cell
-    # [B(0), B(1)]. Upper boundary mirrors it with the complementary CDF.
-    probs[0] = gaussian_cdf((edges[0] - x) / sigma)
-    probs[0] += _reverse_partial_first_moment(edges[0], edges[1], x, sigma) / delta
-    probs[k - 1] = gaussian_cdf(-(edges[k - 1] - x) / sigma)
-    probs[k - 1] += partial_first_moment(edges[k - 2], edges[k - 1], x, sigma) / delta
-    if k > 2:
-        lo, mid, hi = edges[:-2], edges[1:-1], edges[2:]
-        probs[1:-1] = (
-            partial_first_moment(lo, mid, x, sigma)
-            + _reverse_partial_first_moment(mid, hi, x, sigma)
-        ) / delta
-    return LevelPmf(spec=spec, probs=probs)
+
+def quantized_gaussian_pmf(x: float, noise: NoiseSpec, spec: QuantizerSpec) -> LevelPmf:
+    """Distribution of quantize(x + N(0, sigma^2)): the exponentiated ``log_level_probs``."""
+    return LevelPmf(spec=spec, probs=np.exp(log_level_probs(x, noise, spec)))

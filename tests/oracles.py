@@ -1,11 +1,13 @@
 """Independent numerical oracles used across the test suite.
 
-Everything here is computed by adaptive quadrature or brute-force summation,
-never by the library's closed forms, so the two routes stay independent.
+Everything here is computed by adaptive quadrature, brute-force summation
+or textbook formulas in high-precision arithmetic, never by the library's
+float closed forms, so the two routes stay independent.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy import integrate
 
@@ -24,6 +26,25 @@ def quad_cdf(z):
 def quad_partial_first_moment(a, b, mu, sigma):
     value, _ = integrate.quad(lambda t: norm_pdf(t, mu, sigma) * (t - a), a, b)
     return value
+
+
+def mp_log_cell_moments(lo, hi, dps=60):
+    """Logs of int phi(s) (s - lo) ds and int phi(s) (hi - s) ds over [lo, hi].
+
+    Closed forms in mpmath at ``dps`` digits, with tail masses taken away
+    from the mean (a cell below it is mirrored), so the cancellation the
+    float kernel has to avoid costs only spare digits here.
+    """
+    with mp.workdps(dps):
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        if hi <= 0:
+            rev, fwd = mp_log_cell_moments(-hi, -lo, dps)
+            return fwd, rev
+        phi = lambda s: mp.exp(-s * s / 2) / mp.sqrt(2 * mp.pi)
+        upper = lambda s: mp.erfc(s / mp.sqrt(2)) / 2
+        mass = upper(lo) - upper(hi) if lo >= 0 else 1 - upper(hi) - upper(-lo)
+        drop = phi(lo) - phi(hi)
+        return float(mp.log(drop - lo * mass)), float(mp.log(hi * mass - drop))
 
 
 def quad_pmf(x, sigma, k, c_q):
@@ -71,3 +92,26 @@ def monte_carlo_quantized_gaussian(x, sigma, k, c_q, n_samples, seed):
     go_up = rng.random(n_samples) < (t - low) / delta
     counts = np.bincount(r + go_up.astype(int), minlength=k)
     return counts / n_samples
+
+
+def threshold_sweep_attack_accuracy(scores, is_member):
+    """Best balanced accuracy and ROC of `score >= threshold` rules, by brute force.
+
+    Evaluates every distinct score as a threshold, one at a time: O(n^2),
+    kept as the reference for the sorted sweep in ``qdp.lira``.
+    """
+    s = np.asarray(scores, dtype=float)
+    truth = np.asarray(is_member, dtype=bool)
+    best = 0.0
+    for threshold in np.unique(s):  # ascending: ties resolve to the lower threshold
+        predicted = s >= threshold
+        tpr = float(np.mean(predicted[truth]))
+        tnr = float(np.mean(~predicted[~truth]))
+        balanced = 0.5 * (tpr + tnr)
+        if balanced > best:
+            best = balanced
+    roc = [(0.0, 0.0)]
+    for threshold in np.unique(s)[::-1]:
+        predicted = s >= threshold
+        roc.append((float(np.mean(predicted[~truth])), float(np.mean(predicted[truth]))))
+    return best, roc

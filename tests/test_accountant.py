@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdp.accountant import (
     DEFAULT_ALPHA_GRID,
@@ -124,6 +126,39 @@ class TestEpsilonInfinity:
             assert d_inf <= epsilon_infinity(m) + 1e-12
 
 
+class TestSmallSigmaBudgets:
+    """Configurations whose level masses underflow in linear space.
+
+    Reference values are the 100-digit mpmath evaluations of
+    bench/make_references.py (closed forms, cross-checked by quadrature).
+    """
+
+    @pytest.mark.parametrize(
+        "k,sigma,eps1,eps_inf",
+        [
+            (8, 0.01, 2639.7711992027707, 7386.319181155326),
+            (16, 0.1, 42.49075987735474, 99.84120012574144),
+        ],
+    )
+    def test_matches_high_precision_reference(self, k, sigma, eps1, eps_inf):
+        assert epsilon_one(mech(sigma, k)) == pytest.approx(eps1, rel=1e-9)
+        assert epsilon_infinity(mech(sigma, k)) == pytest.approx(eps_inf, rel=1e-9)
+
+    def test_readme_values_hold(self):
+        assert epsilon_one(mech(1.0, 8)) == pytest.approx(0.4426, abs=1e-4)
+        assert epsilon_infinity(mech(1.0, 8)) == pytest.approx(3.8493, abs=1e-4)
+
+    @pytest.mark.parametrize("sigma", [1e-9, 1e-4, 0.01, 30.0, 1e4, 1e7])
+    @pytest.mark.parametrize("k", [2, 3, 8, 1024])
+    def test_finite_and_ordered_everywhere(self, sigma, k):
+        m = mech(sigma, k)
+        eps1, eps_inf = epsilon_one(m), epsilon_infinity(m)
+        assert 0.0 < eps1 < math.inf
+        assert 0.0 < eps_inf < math.inf
+        # the alpha = 1 budget never exceeds the Gaussian one, c_q^2 / (2 sigma^2)
+        assert eps1 <= 0.5 / sigma**2 * (1 + 1e-9)
+
+
 class TestGaussianBaseline:
     def test_reference_setting(self):
         assert gaussian_rdp_baseline(1.0, 1.0, 1.0).epsilon == 0.5
@@ -175,12 +210,22 @@ class TestRdpToDp:
             rdp_to_dp(RdpPoint(1.0, 0.5), 1e-5)
 
 
+def converted_epsilon(sigma, rounds, delta, sensitivity=1.0):
+    """Best converted budget over the default order grid, via compose and rdp_to_dp."""
+    return min(
+        rdp_to_dp(compose([gaussian_rdp_baseline(sensitivity, sigma, a)] * rounds), delta).epsilon
+        for a in DEFAULT_ALPHA_GRID
+    )
+
+
 class TestCalibrateSigma:
     def test_inverts_single_order(self):
-        # at alpha=2, delta=1/e: converted eps = 1/sigma^2 + 1, so target 2 -> sigma 1
+        # the converted budget at the returned sigma hits the target, and any
+        # visibly smaller sigma misses it
         target = DpPoint(epsilon=2.0, delta=math.exp(-1.0))
-        sigma = calibrate_sigma(target, rounds=1, sensitivity=1.0, alpha_grid=(2.0,))
-        assert sigma == pytest.approx(1.0, abs=1e-3)
+        sigma = calibrate_sigma(target, rounds=1, sensitivity=1.0)
+        assert converted_epsilon(sigma, 1, target.delta) == pytest.approx(2.0, rel=1e-12)
+        assert converted_epsilon(sigma * (1 - 1e-9), 1, target.delta) > 2.0
 
     def test_more_rounds_need_more_noise(self):
         target = DpPoint(epsilon=5.0, delta=1e-5)
@@ -202,10 +247,35 @@ class TestCalibrateSigma:
         )
         assert best <= 5.0
 
+    @given(
+        st.floats(0.05, 50.0),
+        st.floats(1e-12, 0.5),
+        st.integers(1, 2000),
+        st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_targets_met_and_tight(self, epsilon, delta, rounds, sensitivity):
+        target = DpPoint(epsilon, delta)
+        try:
+            sigma = calibrate_sigma(target, rounds=rounds, sensitivity=sensitivity)
+        except ValueError as exc:
+            assert "unreachable" in str(exc)
+            assert min(math.log(1 / delta) / (a - 1) for a in DEFAULT_ALPHA_GRID) >= epsilon
+            return
+        assert converted_epsilon(sigma, rounds, delta, sensitivity) <= epsilon
+        assert converted_epsilon(sigma * (1 - 1e-9), rounds, delta, sensitivity) > epsilon
+
+    def test_matches_closed_form_reference(self):
+        # min over the grid of sqrt(rounds * alpha / (2 (eps - log(1/delta)/(alpha - 1)))),
+        # evaluated in 100-digit arithmetic for the target (5, 1e-5)
+        target = DpPoint(5.0, 1e-5)
+        assert calibrate_sigma(target, 1, 1.0) == pytest.approx(1.0918539577597648, rel=1e-12)
+        assert calibrate_sigma(target, 1000, 1.0) == pytest.approx(34.52745378790134, rel=1e-12)
+
     def test_unreachable_target_diagnosed(self):
-        # conversion slack alone exceeds the target on this grid
+        # conversion slack alone (log 2 / 255 = 0.0027 at alpha = 256) exceeds the target
         with pytest.raises(ValueError, match="unreachable"):
-            calibrate_sigma(DpPoint(0.01, 0.5), rounds=1, sensitivity=1.0, alpha_grid=(1.5,))
+            calibrate_sigma(DpPoint(0.001, 0.5), rounds=1, sensitivity=1.0)
 
 
 class TestBudgetSweep:

@@ -50,6 +50,15 @@ class TestBudget:
         )
         assert float(out) == pytest.approx(expected, rel=1e-11)
 
+    @pytest.mark.parametrize("alpha", ["1", "inf"])
+    def test_small_sigma_prints_finite_budget(self, capsys, alpha):
+        code, out, err = run(
+            capsys, "budget", "--k", "8", "--cq", "1", "--sigma", "0.01", "--alpha", alpha
+        )
+        assert code == 0
+        assert err == ""
+        assert math.isfinite(float(out))
+
     def test_missing_k_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["budget", "--cq", "1", "--sigma", "1"])

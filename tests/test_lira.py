@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdp.flsim import FlRunConfig, SyntheticTaskSpec, cross_entropy_losses
 from qdp.lira import (
@@ -16,6 +18,8 @@ from qdp.lira import (
     score,
     write_report,
 )
+
+from oracles import threshold_sweep_attack_accuracy
 
 
 def philox(*key):
@@ -71,30 +75,28 @@ class TestFitOutDistribution:
         y = np.array([1.0])
         w_zero_loss = np.array([20.0, 0.0])  # z=40: log(1+e^-40) underflows to 0
         w_two_loss = np.array([0.0, -math.log(math.expm1(2.0))])  # log(1+e^-z) = 2
-        ensemble = fit_out_distribution([w_zero_loss, w_two_loss], x, y)
-        mu, sd = ensemble.per_sample_stats[0]
-        assert mu == pytest.approx(1.0, abs=1e-12)
-        assert sd == pytest.approx(1.0, abs=1e-12)
+        mu, sd = fit_out_distribution([w_zero_loss, w_two_loss], x, y)
+        assert mu[0] == pytest.approx(1.0, abs=1e-12)
+        assert sd[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_stats_match_independent_recomputation(self):
         rng = philox(0)
         models = [rng.normal(size=6) for _ in range(16)]
         audit_x = rng.normal(size=(10, 5))
         audit_y = (rng.random(10) > 0.5).astype(float)
-        ensemble = fit_out_distribution(models, audit_x, audit_y, sample_ids=range(10))
+        mu, sd = fit_out_distribution(models, audit_x, audit_y)
         losses = np.stack([cross_entropy_losses(w, audit_x, audit_y) for w in models])
+        assert mu.shape == sd.shape == (10,)
         for i in range(10):
-            mu, sd = ensemble.per_sample_stats[i]
-            assert mu == pytest.approx(losses[:, i].mean(), abs=1e-12)
-            assert sd == pytest.approx(max(losses[:, i].std(), SIGMA_FLOOR), abs=1e-12)
+            assert mu[i] == pytest.approx(losses[:, i].mean(), abs=1e-12)
+            assert sd[i] == pytest.approx(max(losses[:, i].std(), SIGMA_FLOOR), abs=1e-12)
 
     def test_identical_losses_hit_floor(self):
         models = [np.zeros(6), np.zeros(6)]  # same weights, same losses
         audit_x = philox(1).normal(size=(4, 5))
         audit_y = np.ones(4)
-        ensemble = fit_out_distribution(models, audit_x, audit_y)
-        for mu, sd in ensemble.per_sample_stats.values():
-            assert sd == SIGMA_FLOOR
+        _, sd = fit_out_distribution(models, audit_x, audit_y)
+        assert np.all(sd == SIGMA_FLOOR)
 
     def test_rejects_single_model(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -103,54 +105,58 @@ class TestFitOutDistribution:
 
 class TestScore:
     def test_median_loss_scores_half(self):
-        assert score(1.3, (1.3, 0.2)) == 0.5
+        assert score(1.3, 1.3, 0.2) == 0.5
 
     def test_far_below_mean_is_member_like(self):
-        assert score(1.0 - 10 * 0.1, (1.0, 0.1)) > 0.9999
+        assert score(1.0 - 10 * 0.1, 1.0, 0.1) > 0.9999
 
     def test_two_sigma_tail(self):
-        assert score(0.5 + 1.959963985 * 0.25, (0.5, 0.25)) == pytest.approx(0.025, abs=1e-6)
+        assert score(0.5 + 1.959963985 * 0.25, 0.5, 0.25) == pytest.approx(0.025, abs=1e-6)
 
     def test_strictly_decreasing_in_loss(self):
-        losses = np.linspace(-3, 3, 41)
-        values = [score(l, (0.0, 1.0)) for l in losses]
-        assert all(a > b for a, b in zip(values, values[1:]))
+        values = score(np.linspace(-3, 3, 41), 0.0, 1.0)
+        assert np.all(np.diff(values) < 0)
+
+    def test_elementwise_per_sample_fit(self):
+        values = score(np.array([1.0, 2.0]), np.array([1.0, 3.0]), np.array([0.5, 1.0]))
+        np.testing.assert_array_equal(values, [score(1.0, 1.0, 0.5), score(2.0, 3.0, 1.0)])
 
     def test_rejects_degenerate_sigma(self):
         with pytest.raises(ValueError, match="sigma_out"):
-            score(1.0, (1.0, 0.0))
+            score(1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="sigma_out"):
+            score(np.ones(2), np.ones(2), np.array([1.0, 0.0]))
+
+
+def balanced_flags(n_per_side):
+    return np.arange(2 * n_per_side) < n_per_side
 
 
 class TestAttackAccuracy:
     def test_perfect_scores(self):
-        scores = {i: 1.0 if i < 5 else 0.0 for i in range(10)}
-        member = {i: i < 5 for i in range(10)}
-        report = attack_accuracy(scores, member)
-        assert report.accuracy == 1.0
+        scores = np.where(balanced_flags(5), 1.0, 0.0)
+        accuracy, _ = attack_accuracy(scores, balanced_flags(5))
+        assert accuracy == 1.0
 
     def test_constant_scores_are_chance(self):
-        scores = {i: 0.7 for i in range(10)}
-        member = {i: i < 5 for i in range(10)}
-        assert attack_accuracy(scores, member).accuracy == 0.5
+        accuracy, _ = attack_accuracy(np.full(10, 0.7), balanced_flags(5))
+        assert accuracy == 0.5
 
     def test_random_scores_near_chance(self):
         # permutation baseline: 500/500 uniform scores, seeded
         rng = philox(2)
-        scores = {i: float(rng.random()) for i in range(1000)}
-        member = {i: i < 500 for i in range(1000)}
-        assert attack_accuracy(scores, member).accuracy == pytest.approx(0.5, abs=0.05)
+        scores = rng.random(1000)
+        accuracy, _ = attack_accuracy(scores, balanced_flags(500))
+        assert accuracy == pytest.approx(0.5, abs=0.05)
 
     def test_unbalanced_audit_rejected(self):
-        scores = {i: float(i) for i in range(10)}
-        member = {i: i < 4 for i in range(10)}
+        scores = np.arange(10, dtype=float)
         with pytest.raises(ValueError, match="balanced"):
-            attack_accuracy(scores, member)
+            attack_accuracy(scores, np.arange(10) < 4)
 
     def test_roc_monotone_from_origin_to_one(self):
         rng = philox(3)
-        scores = {i: float(rng.random()) for i in range(40)}
-        member = {i: i < 20 for i in range(40)}
-        roc = attack_accuracy(scores, member).roc_points
+        _, roc = attack_accuracy(rng.random(40), balanced_flags(20))
         assert roc[0] == (0.0, 0.0)
         assert roc[-1] == (1.0, 1.0)
         fprs = [p[0] for p in roc]
@@ -159,8 +165,27 @@ class TestAttackAccuracy:
         assert tprs == sorted(tprs)
 
     def test_mismatched_ids_rejected(self):
-        with pytest.raises(ValueError, match="same sample ids"):
-            attack_accuracy({0: 0.5}, {1: True})
+        with pytest.raises(ValueError, match="same length"):
+            attack_accuracy(np.array([0.5]), np.array([True, False]))
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 6), min_size=2 * n, max_size=2 * n),
+                st.permutations([True] * n + [False] * n),
+            )
+        ),
+        st.floats(1e-3, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_threshold_sweep_reference(self, case, scale):
+        # few distinct values force ties; the sorted sweep must agree bit for bit
+        levels, flags = case
+        scores = np.array(levels) * scale
+        is_member = np.array(flags)
+        assert attack_accuracy(scores, is_member) == threshold_sweep_attack_accuracy(
+            scores, is_member
+        )
 
 
 class TestAuditRun:

@@ -2,17 +2,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from qdp.pmf import (
     LevelPmf,
     NoiseSpec,
     gaussian_cdf,
+    log_cell_moments,
+    log_level_probs,
     partial_first_moment,
     quantized_gaussian_pmf,
 )
 from qdp.quantizer import QuantizerSpec
 
-from oracles import monte_carlo_quantized_gaussian, quad_cdf, quad_partial_first_moment, quad_pmf
+from oracles import (
+    monte_carlo_quantized_gaussian,
+    mp_log_cell_moments,
+    quad_cdf,
+    quad_partial_first_moment,
+    quad_pmf,
+)
 
 
 class TestGaussianCdf:
@@ -76,6 +85,38 @@ class TestPartialFirstMoment:
         assert partial_first_moment(a, a + width, mu, sigma) >= 0.0
 
 
+class TestLogCellMoments:
+    @given(
+        st.floats(-6.0, 4.0).map(lambda e: 10.0**e),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-12.0, 2.0).map(lambda e: 10.0**e),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_high_precision_closed_form(self, magnitude, sign, width):
+        # covers far tails, cells holding the mean, and cells too narrow for
+        # the closed forms; the log of each moment is good to ~1e-11 of the moment
+        lo = sign * magnitude
+        hi = lo + width
+        if hi == lo:
+            return
+        fwd, rev = log_cell_moments(lo, hi)
+        want_fwd, want_rev = mp_log_cell_moments(lo, hi)
+        assert fwd == pytest.approx(want_fwd, rel=1e-13, abs=1e-11)
+        assert rev == pytest.approx(want_rev, rel=1e-13, abs=1e-11)
+
+    def test_mirror_swaps_moments(self):
+        lo = np.array([0.3, 2.0, 40.0])
+        hi = lo + np.array([0.5, 1e-4, 3.0])
+        fwd, rev = log_cell_moments(lo, hi)
+        mirror_fwd, mirror_rev = log_cell_moments(-hi, -lo)
+        np.testing.assert_array_equal(fwd, mirror_rev)
+        np.testing.assert_array_equal(rev, mirror_fwd)
+
+    def test_empty_cell_has_no_mass(self):
+        fwd, rev = log_cell_moments(1.5, 1.5)
+        assert fwd == rev == -np.inf
+
+
 class TestLevelPmfValidation:
     def test_rejects_bad_shapes_and_values(self):
         spec = QuantizerSpec(k=3, c_q=1.0)
@@ -131,6 +172,13 @@ class TestQuantizedGaussianPmf:
         # x = 0.25 on a 3-level unit lattice: 0 w.p. 0.75, +1 w.p. 0.25
         pmf = quantized_gaussian_pmf(0.25, NoiseSpec(1e-6), QuantizerSpec(k=3, c_q=1.0))
         np.testing.assert_allclose(pmf.probs, [0.0, 0.75, 0.25], atol=1e-6)
+
+    @pytest.mark.parametrize("sigma", [1e-9, 0.01, 1e6])
+    @pytest.mark.parametrize("k", [2, 8, 1024])
+    def test_log_masses_finite_where_masses_underflow(self, sigma, k):
+        log_probs = log_level_probs(0.5, NoiseSpec(sigma), QuantizerSpec(k=k, c_q=1.0))
+        assert np.all(np.isfinite(log_probs))
+        assert logsumexp(log_probs) == pytest.approx(0.0, abs=1e-9)
 
     def test_noise_spec_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
