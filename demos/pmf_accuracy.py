@@ -1,10 +1,11 @@
 """Sanity-check the closed-form level distribution against simulation.
 
-The library computes the output distribution of quantize(x + noise) from
-Gaussian CDF differences and partial first moments. Here we draw a million
-samples of the mechanism itself and put the empirical frequencies next to
-the closed form, then shrink the noise to (almost) nothing and watch the
-distribution collapse onto the two-point stochastic-rounding rule.
+The library computes the output distribution of quantize(x + noise) as
+log masses, from log-space first moments of the Gaussian over each lattice
+cell plus the clipped tails; ``pmf.probs`` exponentiates them. Here we draw
+a million samples of the mechanism itself and put the empirical frequencies
+next to the closed form, then shrink the noise to (almost) nothing and watch
+the distribution collapse onto the two-point stochastic-rounding rule.
 """
 
 import numpy as np

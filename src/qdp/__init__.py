@@ -24,7 +24,7 @@ from .accountant import (
 )
 from .flsim import FlRunConfig, GlobalModel, RunResult, SyntheticTaskSpec, train
 from .lira import AttackConfig, AttackReport, audit_run
-from .pmf import LevelPmf, NoiseSpec, gaussian_cdf, partial_first_moment, quantized_gaussian_pmf
+from .pmf import LevelPmf, NoiseSpec, partial_first_moment, quantized_gaussian_pmf
 from .quantizer import QuantizerSpec, clip_vector, quantize, stochastic_round
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "quantize",
     "NoiseSpec",
     "LevelPmf",
-    "gaussian_cdf",
     "partial_first_moment",
     "quantized_gaussian_pmf",
     "RdpPoint",

@@ -1,11 +1,11 @@
 """Renyi-DP accounting for the quantized Gaussian mechanism.
 
-Divergences between level distributions are evaluated in log space. The
-alpha = 1 budget is the KL divergence between the distributions at the two
-extremal inputs +-c_q/2; the alpha -> infinity budget is the closed-form
-worst-case log-ratio bound. A plain Gaussian baseline, additive
-composition, RDP-to-DP conversion, and noise calibration complete a small
-accounting toolkit. All epsilons are in natural-log units.
+One kernel evaluates every divergence between level distributions, on
+their log masses. The alpha = 1 budget is the KL divergence between the
+distributions at the two extremal inputs +-c_q/2; the alpha -> infinity
+budget is the paper's closed-form worst-case log-ratio bound. A Gaussian
+baseline, additive composition, RDP-to-DP conversion, and noise
+calibration complete a small accounting toolkit. Epsilons are in nats.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .pmf import LevelPmf, NoiseSpec, log_cell_moments, log_level_probs
+from .pmf import LevelPmf, NoiseSpec, log_cell_moments, quantized_gaussian_pmf
 from .quantizer import QuantizerSpec
 
 __all__ = [
@@ -78,50 +78,52 @@ class MechanismSpec:
     quant: QuantizerSpec
 
 
+def _divergence(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> float:
+    # D_alpha(p || q) from log masses; levels where p vanishes contribute nothing
+    if log_p.min() == -np.inf:
+        support = log_p > -np.inf
+        log_p, log_q = log_p[support], log_q[support]
+    if log_q.min() == -np.inf:
+        return math.inf
+    log_ratio = log_p - log_q
+    if alpha == math.inf:
+        return max(float(log_ratio.max()), 0.0)
+    if alpha == 1:
+        return max(float(np.dot(np.exp(log_p), log_ratio)), 0.0)
+    # sum_r p^alpha q^(1-alpha), accumulated in log space
+    return max(float(special.logsumexp(log_p + (alpha - 1.0) * log_ratio)) / (alpha - 1.0), 0.0)
+
+
 def renyi_divergence(p: LevelPmf, q: LevelPmf, alpha: float) -> float:
     """Order-alpha Renyi divergence D_alpha(p || q) between two level pmfs.
 
-    alpha = 1 uses the KL sum directly, finite alpha > 1 the standard
-    log-mean-exponential form, and alpha = inf the worst-case log ratio.
-    Any level where q vanishes but p does not makes the divergence +inf;
-    true zeros are never clamped.
+    The KL sum at alpha = 1, the log-mean-exponential form at finite alpha,
+    the worst-case log ratio at alpha = inf, all on the log masses, so it
+    stays accurate where masses underflow. A level where q vanishes but p
+    does not makes it +inf; true zeros are never clamped.
     """
     if p.spec != q.spec:
         raise ValueError(f"pmfs live on different lattices: {p.spec} vs {q.spec}")
     if not alpha >= 1:
         raise ValueError(f"Renyi order must be >= 1, got {alpha}")
-    pp = p.probs
-    qp = q.probs
-    support = pp > 0
-    if np.any(qp[support] == 0):
-        return math.inf
-    with np.errstate(divide="ignore"):
-        log_ratio = np.log(pp[support]) - np.log(qp[support])
-    if alpha == math.inf:
-        return max(float(np.max(log_ratio)), 0.0)
-    if alpha == 1:
-        return max(float(np.dot(pp[support], log_ratio)), 0.0)
-    # sum_r p^alpha q^(1-alpha), accumulated in log space
-    log_terms = np.log(pp[support]) + (alpha - 1.0) * log_ratio
-    return max(float(special.logsumexp(log_terms)) / (alpha - 1.0), 0.0)
+    return _divergence(p.log_probs, q.log_probs, alpha)
 
 
 def epsilon_one(mech: MechanismSpec) -> float:
-    """alpha = 1 budget: KL divergence between the extremal-input pmfs.
-
-    The pmf at -c_q/2 mirrors the one at +c_q/2, so one set of log masses
-    gives both sides, and the sum stays finite where masses underflow.
-    """
-    log_p = log_level_probs(mech.quant.c_q / 2.0, mech.noise, mech.quant)
-    return max(float(np.dot(np.exp(log_p), log_p - log_p[::-1])), 0.0)
+    """alpha = 1 budget: KL divergence between the extremal-input pmfs; the
+    pmf at -c_q/2 is the mirror image of the one at +c_q/2."""
+    log_p = quantized_gaussian_pmf(mech.quant.c_q / 2.0, mech.noise, mech.quant).log_probs
+    return _divergence(log_p, log_p[::-1], 1.0)
 
 
 def epsilon_infinity(mech: MechanismSpec) -> float:
     """alpha -> infinity budget: log(delta / m) with m the partial first
     moment of N(-c_q/2, sigma^2) over the topmost lattice cell.
 
-    Finite and positive for every valid configuration, unlike the Gaussian
-    baseline whose alpha -> infinity budget diverges.
+    The paper's closed-form bound: the exact D_inf of the extremal pmfs is
+    smaller (0.689 vs 1.319 at k = 2, sigma = 1; 7146.3 vs 7386.3 at k = 8,
+    sigma = 0.01). Finite and positive for every valid configuration,
+    unlike the Gaussian baseline whose alpha -> infinity budget diverges.
     """
     quant, sigma, half = mech.quant, mech.noise.sigma, mech.quant.c_q / 2.0
     top_cell = (np.array([quant.level(quant.k - 2), quant.c_q]) + half) / sigma

@@ -214,6 +214,12 @@ def privatize_delta(delta: np.ndarray, config: FlRunConfig, rng: np.random.Gener
     With sigma = 0 the noise stage is the identity; with k = None the
     quantizer stage is. Noise is drawn before the quantizer's uniforms so the
     stream layout is fixed.
+
+    The accountant's per-coordinate budgets model a clamp of each noisy
+    coordinate to [-c_q, c_q]; ``quantize`` rescales the whole vector onto
+    the L2 ball of radius c_q, so they hold here only while that rescale is
+    inactive, roughly while sigma * sqrt(d + 1) < 0.87 c_q (it never fired in
+    5000 updates at d = 100, sigma = 0.05, nor in 2400 at d = 50, sigma = 0.02).
     """
     h = clip_vector(delta, config.c_q / 2.0)
     if config.sigma > 0:

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from . import flsim
 from .flsim import FlRunConfig
-from .pmf import gaussian_cdf
 
 __all__ = [
     "AttackConfig",
@@ -121,7 +121,7 @@ def score(loss, mu_out, sigma_out):
     sigma_out = np.asarray(sigma_out, dtype=float)
     if not np.all(sigma_out > 0):
         raise ValueError(f"sigma_out must be positive, got {np.min(sigma_out)}")
-    return 1.0 - gaussian_cdf((np.asarray(loss, dtype=float) - mu_out) / sigma_out)
+    return 1.0 - special.ndtr((np.asarray(loss, dtype=float) - mu_out) / sigma_out)
 
 
 def attack_accuracy(scores, is_member) -> tuple[float, list[tuple[float, float]]]:

@@ -19,10 +19,8 @@ from .quantizer import QuantizerSpec
 __all__ = [
     "NoiseSpec",
     "LevelPmf",
-    "gaussian_cdf",
     "partial_first_moment",
     "log_cell_moments",
-    "log_level_probs",
     "quantized_gaussian_pmf",
 ]
 
@@ -46,37 +44,31 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class LevelPmf:
-    """Probability mass over the k lattice levels for one mechanism input."""
+    """Natural-log masses over the k lattice levels for one mechanism input,
+    finite where the masses underflow; ``probs`` exponentiates them."""
 
     spec: QuantizerSpec
-    probs: np.ndarray
+    log_probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
-        if probs.shape != (self.spec.k,):
+        log_probs = np.asarray(self.log_probs, dtype=float)
+        object.__setattr__(self, "log_probs", log_probs)
+        if log_probs.shape != (self.spec.k,):
             raise ValueError(
-                f"pmf needs one probability per level: got shape {probs.shape} for k={self.spec.k}"
+                f"pmf needs one probability per level: got {log_probs.shape} for k={self.spec.k}"
             )
-        if np.any(probs < 0):
-            raise ValueError("pmf has negative entries")
-        total = float(probs.sum())
-        if abs(total - 1.0) > _NORM_TOL:
+        # NaN and +inf fail this test too, as does any log mass above 0
+        total = float(np.exp(log_probs).sum())
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise ValueError(f"pmf sums to {total!r}, not 1 within {_NORM_TOL}")
+
+    @property
+    def probs(self) -> np.ndarray:
+        return np.exp(self.log_probs)
 
     @property
     def levels(self) -> np.ndarray:
         return self.spec.levels()
-
-
-def gaussian_cdf(z):
-    """Standard normal CDF, exact to well under 1e-12 absolute error.
-
-    Accepts scalars or arrays. The lower tail is evaluated through the
-    complementary error function, so tiny probabilities keep full relative
-    accuracy instead of cancelling.
-    """
-    return special.ndtr(z)
 
 
 def _narrow_cell(a, b):
@@ -113,7 +105,7 @@ def _tail_cell(a, b):
 def _mean_cell(a, b):
     # The cell holding the mean; phi(a) - phi(b), with a nearer the mean than b
     drop = -np.exp(-0.5 * a * a - _LOG_SQRT_2PI) * np.expm1(-0.5 * (b - a) * (b + a))
-    mass = gaussian_cdf(b) - gaussian_cdf(a)
+    mass = special.ndtr(b) - special.ndtr(a)
     return drop - a * mass, b * mass - drop
 
 
@@ -158,8 +150,8 @@ def partial_first_moment(a, b, mu, sigma: float):
     return sigma * np.exp(log_fwd)
 
 
-def log_level_probs(x: float, noise: NoiseSpec, spec: QuantizerSpec) -> np.ndarray:
-    """Natural logs of the level masses of quantize(x + N(0, sigma^2)).
+def quantized_gaussian_pmf(x: float, noise: NoiseSpec, spec: QuantizerSpec) -> LevelPmf:
+    """Distribution of quantize(x + N(0, sigma^2)) over the lattice levels.
 
     The input must lie in [-c_q/2, +c_q/2], the range the privacy analysis
     needs. Every term stays in log space, so each log mass is finite and
@@ -172,15 +164,11 @@ def log_level_probs(x: float, noise: NoiseSpec, spec: QuantizerSpec) -> np.ndarr
             f"(inputs must be pre-clipped to c_q/2)"
         )
     z = (spec.levels() - x) / noise.sigma
-    log_width = np.log(spec.delta / noise.sigma)
     log_fwd, log_rev = log_cell_moments(z[:-1], z[1:])
     # level r takes the mass rounded up from cell r - 1 and down from cell r,
     # and the end levels also take the noise clipped past them
-    log_probs = np.logaddexp(np.append(-np.inf, log_fwd), np.append(log_rev, -np.inf)) - log_width
+    log_probs = np.append(-np.inf, log_fwd)
+    log_probs[:-1] = np.logaddexp(log_probs[:-1], log_rev)
+    log_probs -= np.log(spec.delta / noise.sigma)
     log_probs[[0, -1]] = np.logaddexp(log_probs[[0, -1]], special.log_ndtr([z[0], -z[-1]]))
-    return log_probs
-
-
-def quantized_gaussian_pmf(x: float, noise: NoiseSpec, spec: QuantizerSpec) -> LevelPmf:
-    """Distribution of quantize(x + N(0, sigma^2)): the exponentiated ``log_level_probs``."""
-    return LevelPmf(spec=spec, probs=np.exp(log_level_probs(x, noise, spec)))
+    return LevelPmf(spec, log_probs)

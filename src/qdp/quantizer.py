@@ -91,5 +91,8 @@ def quantize(w, spec: QuantizerSpec, rng: np.random.Generator) -> np.ndarray:
 
     The output lands on the lattice coordinatewise and, whenever the clip is
     inactive, matches the input in expectation.
+
+    The accountant's pmf models a per-coordinate clamp to [-c_q, c_q]
+    instead, so its budgets hold only while this rescale is inactive.
     """
     return stochastic_round(clip_vector(w, spec.c_q), spec, rng)

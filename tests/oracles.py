@@ -17,15 +17,22 @@ def norm_pdf(t, mu, sigma):
     return math.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 
 
-def quad_cdf(z):
-    """Standard normal CDF by quadrature from -40 (mass below is < 1e-350)."""
-    value, _ = integrate.quad(lambda t: norm_pdf(t, 0.0, 1.0), -40.0, z)
-    return value
-
-
 def quad_partial_first_moment(a, b, mu, sigma):
     value, _ = integrate.quad(lambda t: norm_pdf(t, mu, sigma) * (t - a), a, b)
     return value
+
+
+def _mp_log_cell_moments(lo, hi):
+    # at the working precision; a cell below the mean is mirrored
+    lo, hi = mp.mpf(lo), mp.mpf(hi)
+    if hi <= 0:
+        rev, fwd = _mp_log_cell_moments(-hi, -lo)
+        return fwd, rev
+    phi = lambda s: mp.exp(-s * s / 2) / mp.sqrt(2 * mp.pi)
+    upper = lambda s: mp.erfc(s / mp.sqrt(2)) / 2
+    mass = upper(lo) - upper(hi) if lo >= 0 else 1 - upper(hi) - upper(-lo)
+    drop = phi(lo) - phi(hi)
+    return mp.log(drop - lo * mass), mp.log(hi * mass - drop)
 
 
 def mp_log_cell_moments(lo, hi, dps=60):
@@ -36,15 +43,43 @@ def mp_log_cell_moments(lo, hi, dps=60):
     float kernel has to avoid costs only spare digits here.
     """
     with mp.workdps(dps):
-        lo, hi = mp.mpf(lo), mp.mpf(hi)
-        if hi <= 0:
-            rev, fwd = mp_log_cell_moments(-hi, -lo, dps)
-            return fwd, rev
-        phi = lambda s: mp.exp(-s * s / 2) / mp.sqrt(2 * mp.pi)
-        upper = lambda s: mp.erfc(s / mp.sqrt(2)) / 2
-        mass = upper(lo) - upper(hi) if lo >= 0 else 1 - upper(hi) - upper(-lo)
-        drop = phi(lo) - phi(hi)
-        return float(mp.log(drop - lo * mass)), float(mp.log(hi * mass - drop))
+        return tuple(float(m) for m in _mp_log_cell_moments(lo, hi))
+
+
+def mp_log_level_probs(x, sigma, k, c_q, dps=60):
+    """Natural-log level masses of quantize(x + N(0, sigma^2)), as mpmath numbers.
+
+    Each level takes the cell moments on either side, divided by the
+    standardized cell width, and the end levels also the Gaussian tails
+    past them (mpmath ``erfc``). Lattice and inputs are taken exactly, and
+    the values keep ``dps`` digits for ``mp_renyi_divergence``.
+    """
+    with mp.workdps(dps):
+        x, sigma, c_q = mp.mpf(x), mp.mpf(sigma), mp.mpf(c_q)
+        z = [(c_q * (2 * r - (k - 1)) / (k - 1) - x) / sigma for r in range(k)]
+        cells = [_mp_log_cell_moments(lo, hi) for lo, hi in zip(z, z[1:])]
+        masses = [mp.mpf(0)] * k
+        for r, (log_fwd, log_rev) in enumerate(cells):
+            masses[r + 1] += mp.exp(log_fwd)
+            masses[r] += mp.exp(log_rev)
+        log_width = mp.log(2 * c_q / (k - 1) / sigma)
+        log_probs = [mp.log(m) - log_width for m in masses]
+        log_tail = lambda t: mp.log(mp.erfc(t / mp.sqrt(2)) / 2)  # log Pr[Z > t]
+        log_probs[0] = mp.log(mp.exp(log_probs[0]) + mp.exp(log_tail(-z[0])))
+        log_probs[-1] = mp.log(mp.exp(log_probs[-1]) + mp.exp(log_tail(z[-1])))
+        return log_probs
+
+
+def mp_renyi_divergence(log_p, log_q, alpha, dps=60):
+    """D_alpha(p || q) from ``mp_log_level_probs`` outputs, summed in mpmath."""
+    with mp.workdps(dps):
+        ratio = [a - b for a, b in zip(log_p, log_q)]
+        if alpha == math.inf:
+            return float(max(ratio))
+        if alpha == 1:
+            return float(mp.fsum(mp.exp(a) * r for a, r in zip(log_p, ratio)))
+        terms = mp.fsum(mp.exp(a + (alpha - 1) * r) for a, r in zip(log_p, ratio))
+        return float(mp.log(terms) / (alpha - 1))
 
 
 def quad_pmf(x, sigma, k, c_q):

@@ -263,8 +263,8 @@ def test_criterion_8_mia_trends():
 
 def test_criterion_9_divergence_unit_checks():
     spec = QuantizerSpec(k=2, c_q=1.0)
-    p = LevelPmf(spec=spec, probs=np.array([0.75, 0.25]))
-    q = LevelPmf(spec=spec, probs=np.array([0.25, 0.75]))
+    p = LevelPmf(spec, np.log([0.75, 0.25]))
+    q = LevelPmf(spec, np.log([0.25, 0.75]))
     kl_ok = abs(renyi_divergence(p, q, 1.0) - 0.5 * math.log(3.0)) < 1e-6
 
     rng = np.random.default_rng(99)
@@ -274,7 +274,7 @@ def test_criterion_9_divergence_unit_checks():
         k = int(rng.integers(2, 9))
         pmf_spec = QuantizerSpec(k=k, c_q=1.0)
         pair = [
-            LevelPmf(spec=pmf_spec, probs=rng.dirichlet(np.ones(k)))
+            LevelPmf(pmf_spec, np.log(rng.dirichlet(np.ones(k))))
             for _ in range(2)
         ]
         values = [renyi_divergence(pair[0], pair[1], a) for a in orders]

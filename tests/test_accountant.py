@@ -22,20 +22,32 @@ from qdp.accountant import (
 from qdp.pmf import LevelPmf, NoiseSpec, quantized_gaussian_pmf
 from qdp.quantizer import QuantizerSpec
 
-from oracles import kl_sum, quad_partial_first_moment, quad_pmf
+from oracles import (
+    kl_sum,
+    mp_log_level_probs,
+    mp_renyi_divergence,
+    quad_partial_first_moment,
+    quad_pmf,
+)
 
 ALPHAS = (1.0, 1.5, 2.0, 4.0, 8.0, math.inf)
 
 
+def pmf_of(spec, probs):
+    """A LevelPmf from linear masses; a zero mass becomes a log mass of -inf."""
+    with np.errstate(divide="ignore"):
+        return LevelPmf(spec, np.log(probs))
+
+
 def two_level_pmf(p0):
     spec = QuantizerSpec(k=2, c_q=1.0)
-    return LevelPmf(spec=spec, probs=np.array([p0, 1.0 - p0]))
+    return pmf_of(spec, [p0, 1.0 - p0])
 
 
 def random_pmf_pair(rng, k):
     spec = QuantizerSpec(k=k, c_q=1.0)
-    p = LevelPmf(spec=spec, probs=rng.dirichlet(np.ones(k)))
-    q = LevelPmf(spec=spec, probs=rng.dirichlet(np.ones(k)))
+    p = pmf_of(spec, rng.dirichlet(np.ones(k)))
+    q = pmf_of(spec, rng.dirichlet(np.ones(k)))
     return p, q
 
 
@@ -63,21 +75,21 @@ class TestRenyiDivergence:
     def test_mismatched_lattices_rejected(self):
         p = two_level_pmf(0.5)
         spec = QuantizerSpec(k=2, c_q=2.0)
-        q = LevelPmf(spec=spec, probs=np.array([0.5, 0.5]))
+        q = pmf_of(spec, [0.5, 0.5])
         with pytest.raises(ValueError, match="different lattices"):
             renyi_divergence(p, q, 2.0)
 
     def test_explicit_infinity_when_q_vanishes_on_support(self):
         spec = QuantizerSpec(k=3, c_q=1.0)
-        p = LevelPmf(spec=spec, probs=np.array([0.5, 0.5, 0.0]))
-        q = LevelPmf(spec=spec, probs=np.array([0.5, 0.0, 0.5]))
+        p = pmf_of(spec, [0.5, 0.5, 0.0])
+        q = pmf_of(spec, [0.5, 0.0, 0.5])
         for alpha in (1.0, 2.0, math.inf):
             assert renyi_divergence(p, q, alpha) == math.inf
 
     def test_zero_in_p_contributes_nothing(self):
         spec = QuantizerSpec(k=3, c_q=1.0)
-        p = LevelPmf(spec=spec, probs=np.array([0.0, 0.5, 0.5]))
-        q = LevelPmf(spec=spec, probs=np.array([0.2, 0.4, 0.4]))
+        p = pmf_of(spec, [0.0, 0.5, 0.5])
+        q = pmf_of(spec, [0.2, 0.4, 0.4])
         expected = 0.5 * math.log(0.5 / 0.4) * 2
         assert renyi_divergence(p, q, 1.0) == pytest.approx(expected, rel=1e-12)
 
@@ -117,7 +129,9 @@ class TestEpsilonInfinity:
 
     def test_budget_chain(self):
         # eps1 <= worst-case log ratio of the extremal pmfs <= eps_inf
-        for sigma, k in [(0.5, 2), (1.0, 4), (1.0, 16), (2.0, 8)]:
+        # at k = 2, sigma = 1 the exact D_inf is 0.689 against the bound's 1.319;
+        # at k = 8, sigma = 0.01 it is 7146.3 against 7386.3
+        for sigma, k in [(0.5, 2), (1.0, 2), (1.0, 4), (1.0, 16), (2.0, 8), (0.01, 2), (0.01, 8)]:
             m = mech(sigma, k)
             p = quantized_gaussian_pmf(0.5, m.noise, m.quant)
             q = quantized_gaussian_pmf(-0.5, m.noise, m.quant)
@@ -157,6 +171,67 @@ class TestSmallSigmaBudgets:
         assert 0.0 < eps_inf < math.inf
         # the alpha = 1 budget never exceeds the Gaussian one, c_q^2 / (2 sigma^2)
         assert eps1 <= 0.5 / sigma**2 * (1 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            1e-3,
+            1e-2,
+            1.0,
+            1e2,
+            1e4,
+            pytest.param(
+                1e7,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the KL sum differences O(1) log masses: ~3e-9 relative at sigma = 1e7",
+                ),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("k", [2, 5, 17, 1024])
+    def test_epsilon_one_matches_high_precision_oracle(self, sigma, k):
+        log_p = mp_log_level_probs(0.5, sigma, k, 1.0)
+        want = mp_renyi_divergence(log_p, log_p[::-1], 1.0)
+        assert epsilon_one(mech(sigma, k)) == pytest.approx(want, rel=1e-10, abs=0)
+
+
+class TestLogSpaceDivergence:
+    """Divergences between mechanism pmfs whose masses underflow in linear space.
+
+    References are 60-digit evaluations from ``oracles.mp_log_level_probs``.
+    On linear masses the first two pairs give inf at every order, and the
+    last gives D_inf = 112.94, too small, by dropping the underflowed levels.
+    """
+
+    @pytest.mark.parametrize(
+        "k,x,x_prime,alpha,want",
+        [
+            (8, 0.5, -0.5, 1.0, 2639.77119920277),
+            (8, 0.5, -0.5, 2.0, 6906.32094713716),
+            (8, 0.5, -0.5, math.inf, 7146.32006414624),
+            (16, 0.1, 0.0, 1.0, 7.35478178304262),
+            (16, 0.1, 0.0, 2.0, 93.2213272717346),
+            (16, 0.1, 0.0, math.inf, 816.911760439791),
+            (11, 0.0, -0.05, math.inf, 412.621195773667),
+        ],
+    )
+    def test_matches_high_precision_reference(self, k, x, x_prime, alpha, want):
+        noise, quant = NoiseSpec(0.01), QuantizerSpec(k=k, c_q=1.0)
+        p = quantized_gaussian_pmf(x, noise, quant)
+        q = quantized_gaussian_pmf(x_prime, noise, quant)
+        assert renyi_divergence(p, q, alpha) == pytest.approx(want, rel=1e-12)
+        oracle = mp_renyi_divergence(
+            mp_log_level_probs(x, 0.01, k, 1.0), mp_log_level_probs(x_prime, 0.01, k, 1.0), alpha
+        )
+        assert oracle == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("sigma,k", [(0.01, 8), (1.0, 8), (1.0, 2), (30.0, 1024)])
+    def test_epsilon_one_is_the_order_one_divergence(self, sigma, k):
+        m = mech(sigma, k)
+        p = quantized_gaussian_pmf(0.5, m.noise, m.quant)
+        mirror = quantized_gaussian_pmf(-0.5, m.noise, m.quant)
+        assert renyi_divergence(p, mirror, 1.0) == epsilon_one(m)
 
 
 class TestGaussianBaseline:
@@ -319,6 +394,24 @@ class TestDivergenceBounds:
             for q in pmfs:
                 assert renyi_divergence(p, q, 1.0) <= eps1 + 1e-12
                 assert renyi_divergence(p, q, math.inf) <= eps_inf + 1e-12
+
+    @given(
+        st.integers(2, 64),
+        st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+        st.floats(-0.5, 0.5),
+        st.floats(-0.5, 0.5),
+        st.sampled_from([1.0, 1.5, 2.0, 8.0, 64.0, math.inf]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_extremal_pair_is_the_worst_case(self, k, sigma, x, x_prime, alpha):
+        # the budgets assume no input pair in [-c_q/2, c_q/2] is further
+        # apart, at any order, than +-c_q/2
+        noise, quant = NoiseSpec(sigma), QuantizerSpec(k=k, c_q=1.0)
+        pmf = lambda v: quantized_gaussian_pmf(v, noise, quant)
+        d = renyi_divergence(pmf(x), pmf(x_prime), alpha)
+        worst = renyi_divergence(pmf(0.5), pmf(-0.5), alpha)
+        assert math.isfinite(d)
+        assert d <= worst * (1 + 1e-9) + 1e-12
 
     def test_order_monotonicity_on_mechanism_pmfs(self):
         rng = np.random.default_rng(11)

@@ -7,9 +7,7 @@ from scipy.special import logsumexp
 from qdp.pmf import (
     LevelPmf,
     NoiseSpec,
-    gaussian_cdf,
     log_cell_moments,
-    log_level_probs,
     partial_first_moment,
     quantized_gaussian_pmf,
 )
@@ -18,31 +16,10 @@ from qdp.quantizer import QuantizerSpec
 from oracles import (
     monte_carlo_quantized_gaussian,
     mp_log_cell_moments,
-    quad_cdf,
+    mp_log_level_probs,
     quad_partial_first_moment,
     quad_pmf,
 )
-
-
-class TestGaussianCdf:
-    def test_symmetry_at_zero(self):
-        assert gaussian_cdf(0.0) == 0.5
-
-    def test_limits(self):
-        assert gaussian_cdf(40.0) == 1.0
-        assert gaussian_cdf(-40.0) == pytest.approx(0.0, abs=1e-300)
-
-    def test_value_at_97_5_percentile(self):
-        # frozen from 30-digit quadrature of the normal density
-        assert gaussian_cdf(1.959963985) == pytest.approx(0.9750000000268815623, abs=1e-12)
-
-    def test_matches_quadrature_on_grid(self):
-        for z in np.linspace(-6, 6, 25):
-            assert gaussian_cdf(z) == pytest.approx(quad_cdf(z), abs=1e-12)
-
-    def test_deep_lower_tail_keeps_relative_accuracy(self):
-        # frozen from 30-digit arithmetic; a naive 1 - Phi(10) would cancel
-        assert gaussian_cdf(-10.0) == pytest.approx(7.6198530241605261e-24, rel=1e-12)
 
 
 class TestPartialFirstMoment:
@@ -121,11 +98,26 @@ class TestLevelPmfValidation:
     def test_rejects_bad_shapes_and_values(self):
         spec = QuantizerSpec(k=3, c_q=1.0)
         with pytest.raises(ValueError, match="one probability per level"):
-            LevelPmf(spec=spec, probs=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="negative"):
-            LevelPmf(spec=spec, probs=np.array([-0.1, 0.6, 0.5]))
+            LevelPmf(spec, np.log([0.5, 0.5]))
+        # a negative mass has no log; its NaN fails the normalization check
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="sums to"):
+            LevelPmf(spec, np.log([-0.1, 0.6, 0.5]))
         with pytest.raises(ValueError, match="sums to"):
-            LevelPmf(spec=spec, probs=np.array([0.5, 0.5, 0.5]))
+            LevelPmf(spec, np.log([0.5, 0.5, 0.5]))
+
+    @pytest.mark.parametrize(
+        "log_probs",
+        [[np.nan, 0.0, -np.inf], [np.inf, -np.inf, -np.inf], [np.log(2.0), -np.inf, -np.inf]],
+    )
+    def test_rejects_nan_infinite_and_positive_log_masses(self, log_probs):
+        with pytest.raises(ValueError, match="sums to"):
+            LevelPmf(QuantizerSpec(k=3, c_q=1.0), np.array(log_probs))
+
+    def test_probs_are_read_only_exponentiated_log_masses(self):
+        pmf = LevelPmf(QuantizerSpec(k=3, c_q=1.0), np.log([0.25, 0.5, 0.25]))
+        np.testing.assert_array_equal(pmf.probs, np.exp(pmf.log_probs))
+        with pytest.raises(AttributeError):
+            pmf.probs = np.array([1.0, 0.0, 0.0])
 
 
 class TestQuantizedGaussianPmf:
@@ -176,9 +168,18 @@ class TestQuantizedGaussianPmf:
     @pytest.mark.parametrize("sigma", [1e-9, 0.01, 1e6])
     @pytest.mark.parametrize("k", [2, 8, 1024])
     def test_log_masses_finite_where_masses_underflow(self, sigma, k):
-        log_probs = log_level_probs(0.5, NoiseSpec(sigma), QuantizerSpec(k=k, c_q=1.0))
-        assert np.all(np.isfinite(log_probs))
-        assert logsumexp(log_probs) == pytest.approx(0.0, abs=1e-9)
+        pmf = quantized_gaussian_pmf(0.5, NoiseSpec(sigma), QuantizerSpec(k=k, c_q=1.0))
+        assert np.all(np.isfinite(pmf.log_probs))
+        assert logsumexp(pmf.log_probs) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "x,sigma,k", [(0.5, 0.01, 8), (0.1, 0.01, 16), (-0.05, 0.01, 11), (0.3, 1.0, 5)]
+    )
+    def test_log_masses_match_high_precision_oracle(self, x, sigma, k):
+        # log masses down to -7000, each good to ~1e-15 of its magnitude
+        pmf = quantized_gaussian_pmf(x, NoiseSpec(sigma), QuantizerSpec(k=k, c_q=1.0))
+        want = np.array([float(v) for v in mp_log_level_probs(x, sigma, k, 1.0)])
+        np.testing.assert_allclose(pmf.log_probs, want, rtol=1e-14, atol=1e-14)
 
     def test_noise_spec_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
