@@ -10,8 +10,7 @@ the distribution collapse onto the two-point stochastic-rounding rule.
 
 import numpy as np
 
-from qdp import NoiseSpec, QuantizerSpec, quantized_gaussian_pmf
-from qdp.quantizer import stochastic_round
+from qdp import NoiseSpec, QuantizerSpec, quantize, quantized_gaussian_pmf
 
 X, SIGMA, K, C_Q = 0.3, 0.5, 8, 1.0
 N = 1_000_000
@@ -20,8 +19,7 @@ spec = QuantizerSpec(k=K, c_q=C_Q)
 pmf = quantized_gaussian_pmf(X, NoiseSpec(SIGMA), spec)
 
 rng = np.random.Generator(np.random.Philox(8))
-noisy = np.clip(X + SIGMA * rng.standard_normal(N), -C_Q, C_Q)
-samples = stochastic_round(noisy, spec, rng)
+samples = quantize(X + SIGMA * rng.standard_normal(N), spec, rng)
 empirical = np.array([(samples == level).mean() for level in pmf.levels])
 
 print(f"x = {X}, sigma = {SIGMA}, k = {K}, c_q = {C_Q}, {N:,} samples")

@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,8 +77,8 @@ class SyntheticTaskSpec:
             raise ValueError(f"task dimension must be >= 1, got {self.dimension}")
         if self.samples_per_client < 0:
             raise ValueError("samples_per_client must be nonnegative")
-        if not self.margin >= 0:
-            raise ValueError(f"class margin must be nonnegative, got {self.margin}")
+        if not 0 <= self.margin < math.inf:
+            raise ValueError(f"margin must be finite and nonnegative, got {self.margin}")
         if self.test_samples < 1:
             raise ValueError("test_samples must be >= 1")
 
@@ -108,14 +109,16 @@ class FlRunConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.local_steps < 1:
             raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be finite and nonnegative, got {self.learning_rate}"
+            )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.c_q > 0:
-            raise ValueError(f"c_q must be positive, got {self.c_q}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0 < self.c_q < math.inf:
+            raise ValueError(f"c_q must be finite and positive, got {self.c_q}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.k is not None and self.k < 2:
             raise ValueError(f"quantization level k must be >= 2 or None, got {self.k}")
         if self.seed < 0:
@@ -213,13 +216,9 @@ def privatize_delta(delta: np.ndarray, config: FlRunConfig, rng: np.random.Gener
 
     With sigma = 0 the noise stage is the identity; with k = None the
     quantizer stage is. Noise is drawn before the quantizer's uniforms so the
-    stream layout is fixed.
-
-    The accountant's per-coordinate budgets model a clamp of each noisy
-    coordinate to [-c_q, c_q]; ``quantize`` rescales the whole vector onto
-    the L2 ball of radius c_q, so they hold here only while that rescale is
-    inactive, roughly while sigma * sqrt(d + 1) < 0.87 c_q (it never fired in
-    5000 updates at d = 100, sigma = 0.05, nor in 2400 at d = 50, sigma = 0.02).
+    stream layout is fixed. After the clip every stage is elementwise (noise,
+    then ``quantize``'s clamp and rounding), so each coordinate is released by
+    the mechanism whose level pmf the accountant computes.
     """
     h = clip_vector(delta, config.c_q / 2.0)
     if config.sigma > 0:
@@ -291,8 +290,8 @@ def config_as_flat_mapping(config) -> dict[str, str]:
     """Flatten a config dataclass to the ``key = value`` schema of config files.
 
     Keys are the field names in declaration order, with nested dataclass
-    fields (a run's ``task``) inlined. None is written as ``none`` and
-    booleans as ``true``/``false``; ``config_from_flat_mapping`` inverts this.
+    fields (a run's ``task``) inlined. None is written as ``none``;
+    ``config_from_flat_mapping`` inverts this.
     """
     flat = {}
     for f in dataclasses.fields(config):
@@ -301,8 +300,6 @@ def config_as_flat_mapping(config) -> dict[str, str]:
             flat.update(config_as_flat_mapping(value))
         elif value is None:
             flat[f.name] = "none"
-        elif isinstance(value, bool):
-            flat[f.name] = "true" if value else "false"
         else:
             flat[f.name] = str(value)
     return flat
@@ -315,10 +312,8 @@ def _parse_value(key: str, text: str, hint):
             return None
         (hint,) = (t for t in options if t is not type(None))
     try:
-        if hint is bool:
-            return {"true": True, "false": False}[text.lower()]
         return hint(text)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"config key {key!r}: cannot parse {text!r} as {hint.__name__}") from exc
 
 

@@ -23,7 +23,6 @@ from .flsim import FlRunConfig
 __all__ = [
     "AttackConfig",
     "AttackReport",
-    "logit_scale",
     "fit_out_distribution",
     "score",
     "attack_accuracy",
@@ -45,18 +44,15 @@ _SHADOW_STREAM = 2
 class AttackConfig:
     """Shadow-ensemble size, audit-set size, and the attack's own seed.
 
-    Shadow models are trained centrally on fresh draws from the task
-    distribution; steps and learning rate default to the target's totals.
-    Scoring works on raw losses; set ``logit_transform`` to fit and score
-    logit-scaled confidences instead (off by default).
+    Each shadow model is trained centrally on fresh draws from the task
+    distribution, as many samples as the target trains on, for the target's
+    ``rounds * local_steps`` full-batch steps at its learning rate. Scoring
+    works on raw losses.
     """
 
     m_shadows: int = 16
     audit_size: int = 64
     seed: int = 0
-    shadow_steps: int | None = None
-    shadow_learning_rate: float | None = None
-    logit_transform: bool = False
 
     def __post_init__(self):
         if self.m_shadows < 2:
@@ -67,10 +63,6 @@ class AttackConfig:
             raise ValueError(f"audit_size must be even and >= 2, got {self.audit_size}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.shadow_steps is not None and self.shadow_steps < 1:
-            raise ValueError(f"shadow_steps must be >= 1, got {self.shadow_steps}")
-        if self.shadow_learning_rate is not None and self.shadow_learning_rate < 0:
-            raise ValueError("shadow_learning_rate must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -83,32 +75,16 @@ class AttackReport:
     seeds: tuple[int, ...] = field(default=())
 
 
-def logit_scale(losses):
-    """Map losses onto the (negated) logit of the true-label confidence.
-
-    log(e^l - 1) is strictly increasing in the loss, so member-like stays
-    "small" and the plain tail-probability scoring rule applies unchanged.
-    Losses that underflowed to zero are floored to keep the result finite.
-    """
-    l = np.maximum(np.asarray(losses, dtype=float), 1e-300)
-    # above ~30 the -log(1 - e^-l) correction is below double resolution
-    return np.where(l > 30.0, l, np.log(np.expm1(np.minimum(l, 30.0))))
-
-
-def fit_out_distribution(models: list[np.ndarray], x: np.ndarray, y: np.ndarray, transform=None):
+def fit_out_distribution(models: list[np.ndarray], x: np.ndarray, y: np.ndarray):
     """Per-sample mean and (population) std of the shadow-model losses.
 
     Returns two arrays, one entry per row of ``x``. The caller is responsible
     for the offline guarantee that no audit sample appears in any shadow
     training set. Standard deviations are floored at SIGMA_FLOOR.
-    ``transform``, if given, is applied to the loss matrix before fitting
-    (see ``logit_scale``).
     """
     if len(models) < 2:
         raise ValueError(f"need at least 2 shadow models, got {len(models)}")
     losses = np.stack([flsim.cross_entropy_losses(w, x, y) for w in models])
-    if transform is not None:
-        losses = transform(losses)
     return losses.mean(axis=0), np.maximum(losses.std(axis=0), SIGMA_FLOOR)
 
 
@@ -188,12 +164,7 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
     audit_ids = member_ids.tolist() + list(range(n_train, n_train + half))
     is_member = np.arange(2 * half) < half
 
-    steps = attack_config.shadow_steps
-    if steps is None:
-        steps = fl_config.rounds * fl_config.local_steps
-    lr = attack_config.shadow_learning_rate
-    if lr is None:
-        lr = fl_config.learning_rate
+    steps = fl_config.rounds * fl_config.local_steps
     start = np.zeros(fl_config.task.dimension + 1)
     models = []
     next_shadow_id = n_train + half
@@ -205,13 +176,12 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
         next_shadow_id += n_train
         if shadow_ids & audit_id_set:
             raise AssertionError("shadow training shard overlaps the audit set")
-        models.append(flsim.sgd(start, sx, sy, steps, lr, len(sy), shadow_rng))
+        models.append(
+            flsim.sgd(start, sx, sy, steps, fl_config.learning_rate, len(sy), shadow_rng)
+        )
 
-    transform = logit_scale if attack_config.logit_transform else None
-    mu_out, sigma_out = fit_out_distribution(models, audit_x, audit_y, transform=transform)
+    mu_out, sigma_out = fit_out_distribution(models, audit_x, audit_y)
     target_losses = flsim.cross_entropy_losses(target_weights, audit_x, audit_y)
-    if transform is not None:
-        target_losses = transform(target_losses)
     scores = score(target_losses, mu_out, sigma_out)
     accuracy, roc_points = attack_accuracy(scores, is_member)
     return AttackReport(

@@ -1,9 +1,9 @@
-"""k-level stochastic quantizer with L2 clipping.
+"""k-level stochastic quantizer on the uniform lattice over [-c_q, +c_q].
 
-Inputs are first scaled onto the L2 ball of radius ``c_q``, then every
-coordinate is randomly rounded to one of the two adjacent points of the
-uniform lattice spanning [-c_q, +c_q], with probabilities proportional to
-proximity. The rounding is unbiased for in-range inputs.
+Every coordinate is clamped to [-c_q, +c_q], then randomly rounded to one of
+the two adjacent lattice points, with probabilities proportional to
+proximity. The rounding is unbiased for in-range inputs. ``clip_vector``
+is the L2 clip applied to an update before it is noised.
 """
 
 from __future__ import annotations
@@ -87,12 +87,13 @@ def stochastic_round(values, spec: QuantizerSpec, rng: np.random.Generator) -> n
 
 
 def quantize(w, spec: QuantizerSpec, rng: np.random.Generator) -> np.ndarray:
-    """Clip the input onto the L2 ball of radius c_q, then stochastically round.
+    """Clamp each coordinate to [-c_q, c_q], then stochastically round.
 
-    The output lands on the lattice coordinatewise and, whenever the clip is
-    inactive, matches the input in expectation.
-
-    The accountant's pmf models a per-coordinate clamp to [-c_q, c_q]
-    instead, so its budgets hold only while this rescale is inactive.
+    Applied to a noisy input this is, coordinate by coordinate, the
+    mechanism whose level pmf ``pmf.quantized_gaussian_pmf`` computes.
+    In-range coordinates match the input in expectation.
     """
-    return stochastic_round(clip_vector(w, spec.c_q), spec, rng)
+    w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("cannot quantize a vector with non-finite entries")
+    return stochastic_round(np.clip(w, -spec.c_q, spec.c_q), spec, rng)

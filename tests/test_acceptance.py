@@ -195,8 +195,8 @@ def test_criterion_6_quantizer_unbiasedness():
     for _ in range(10):
         direction = rng.normal(size=6)
         w = direction / np.linalg.norm(direction) * spec.c_q * rng.uniform(0.0, 1.0)
-        # inside the clip ball the quantizer reduces to elementwise rounding,
-        # so a (draws, 6) tile gives independent mechanism samples
+        # the quantizer is elementwise and these inputs are in range, so a
+        # (draws, 6) tile gives independent mechanism samples
         samples = stochastic_round(np.tile(w, (draws, 1)), spec, rng)
         mean = samples.mean(axis=0)
         r = np.clip(np.floor((w + spec.c_q) / spec.delta), 0, spec.k - 2)

@@ -17,7 +17,7 @@ from qdp.flsim import (
     write_run_artifact,
 )
 from qdp.pmf import NoiseSpec, quantized_gaussian_pmf
-from qdp.quantizer import QuantizerSpec, clip_vector, quantize, stochastic_round
+from qdp.quantizer import QuantizerSpec, clip_vector, quantize
 
 
 def philox(*key):
@@ -52,6 +52,18 @@ class TestConfigValidation:
     def test_quantizer_level(self):
         with pytest.raises(ValueError, match="k must be"):
             make_config(k=1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["sigma", "learning_rate", "c_q"])
+    def test_rejects_nonfinite_real(self, name, value):
+        # a NaN sigma would fail `sigma > 0` in privatize_delta and skip the noise
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make_config(**{name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite_margin(self, value):
+        with pytest.raises(ValueError, match="margin must be finite"):
+            SyntheticTaskSpec(margin=value)
 
 
 class TestTaskData:
@@ -139,7 +151,6 @@ class TestPrivatizeDelta:
             assert np.all(np.abs(update) <= 1.0)
 
     def test_scalar_pipeline_matches_analytic_pmf(self):
-        # d=1 keeps the vector clip equal to the scalar clamp of the analysis
         spec = QuantizerSpec(k=16, c_q=1.0)
         config = make_config(sigma=0.5, k=16, c_q=1.0)
         # draw-by-draw, the operation is exactly clip -> noise -> quantize on
@@ -153,11 +164,27 @@ class TestPrivatizeDelta:
         n = 1_000_000
         rng = philox(3)
         noisy = 0.3 + 0.5 * rng.standard_normal(n)
-        rounded = stochastic_round(np.clip(noisy, -1.0, 1.0), spec, rng)
+        rounded = quantize(noisy, spec, rng)
         pmf = quantized_gaussian_pmf(0.3, NoiseSpec(0.5), spec)
         counts = np.array([(rounded == lv).sum() for lv in pmf.levels]) / n
         se = np.sqrt(pmf.probs * (1 - pmf.probs) / n)
         assert np.all(np.abs(counts - pmf.probs) < 4 * se + 1e-9)
+
+    def test_release_matches_analytic_pmf_per_coordinate(self):
+        # at d = 20, sigma = 0.5 the noisy update almost always leaves the L2
+        # ball of radius c_q; each coordinate must still follow the scalar pmf
+        spec = QuantizerSpec(k=16, c_q=1.0)
+        config = make_config(sigma=0.5, k=16, c_q=1.0, task=SyntheticTaskSpec(dimension=20))
+        delta = np.zeros(21)
+        delta[0], delta[-1] = 0.3, -0.2
+        rng = philox(5)
+        out = np.stack([privatize_delta(delta, config, rng) for _ in range(20_000)])
+        for x in (0.3, 0.0, -0.2):
+            pooled = out[:, delta == x]
+            pmf = quantized_gaussian_pmf(x, NoiseSpec(0.5), spec)
+            counts = np.array([(pooled == lv).sum() for lv in pmf.levels]) / pooled.size
+            se = np.sqrt(pmf.probs * (1 - pmf.probs) / pooled.size)
+            assert np.all(np.abs(counts - pmf.probs) < 4 * se + 1e-9), x
 
     def test_pipeline_unbiased_inside_clip_ball(self):
         # sigma small relative to c_q so neither clip binds in practice

@@ -14,7 +14,6 @@ from qdp.lira import (
     attack_accuracy,
     audit_run,
     fit_out_distribution,
-    logit_scale,
     score,
     write_report,
 )
@@ -52,19 +51,6 @@ class TestAttackConfig:
     def test_rejects_odd_audit(self):
         with pytest.raises(ValueError, match="even"):
             AttackConfig(audit_size=63)
-
-    @pytest.mark.parametrize("steps", [0, -3])
-    def test_rejects_shadow_steps_below_one(self, steps):
-        with pytest.raises(ValueError, match="shadow_steps"):
-            AttackConfig(shadow_steps=steps)
-
-    def test_rejects_negative_shadow_learning_rate(self):
-        with pytest.raises(ValueError, match="shadow_learning_rate"):
-            AttackConfig(shadow_learning_rate=-0.1)
-
-    def test_accepts_set_shadow_settings(self):
-        attack = AttackConfig(shadow_steps=1, shadow_learning_rate=0.0)
-        assert (attack.shadow_steps, attack.shadow_learning_rate) == (1, 0.0)
 
 
 class TestFitOutDistribution:
@@ -229,33 +215,6 @@ class TestAuditRun:
         config = leak_config(0)
         with pytest.raises(ValueError, match="members"):
             audit_run(config, AttackConfig(audit_size=1000, seed=0))
-
-    def test_logit_transform_option(self):
-        # off by default; when on, the attack still works on the leaky task
-        default = audit_run(leak_config(0), AttackConfig(seed=0))
-        plain = audit_run(leak_config(0), AttackConfig(seed=0, logit_transform=False))
-        assert default.scores == plain.scores
-        scaled = audit_run(leak_config(0), AttackConfig(seed=0, logit_transform=True))
-        assert scaled.scores != plain.scores
-        assert scaled.accuracy > 0.53
-
-
-class TestLogitScale:
-    def test_strictly_increasing(self):
-        losses = np.linspace(1e-6, 40, 200)
-        out = logit_scale(losses)
-        assert np.all(np.diff(out) > 0)
-
-    def test_matches_confidence_logit(self):
-        # log(e^l - 1) is -logit(p) for confidence p = e^-l
-        l = 0.9
-        p = math.exp(-l)
-        assert logit_scale(l) == pytest.approx(-math.log(p / (1 - p)), rel=1e-12)
-
-    def test_underflowed_losses_stay_finite(self):
-        out = logit_scale(np.array([0.0, 1e-320, 50.0]))
-        assert np.all(np.isfinite(out))
-        assert out[2] == 50.0
 
 
 class TestReportFile:

@@ -124,7 +124,7 @@ class TestQuantize:
         assert abs(out.mean() - 0.11) < 4 * se
 
     def test_clips_before_rounding(self):
-        # vector with norm 2 is scaled onto the ball before quantization
+        # the out-of-range coordinate is clamped to c_q before quantization
         spec = QuantizerSpec(k=2, c_q=1.0)
         out = quantize(np.array([2.0, 0.0]), spec, philox(8))
         assert out[0] == 1.0
@@ -137,11 +137,18 @@ class TestQuantize:
         np.testing.assert_array_equal(a, b)
 
     def test_quantize_is_round_after_clip(self):
+        # each coordinate is clamped on its own, as the accountant's pmf assumes
         spec = QuantizerSpec(k=8, c_q=1.0)
         w = philox(11).uniform(-3, 3, size=64)
         a = quantize(w, spec, philox(12))
-        b = stochastic_round(clip_vector(w, spec.c_q), spec, philox(12))
+        b = stochastic_round(np.clip(w, -spec.c_q, spec.c_q), spec, philox(12))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_quantize_rejects_nonfinite(self, bad):
+        spec = QuantizerSpec(k=4, c_q=1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize(np.array([0.5, bad]), spec, philox(14))
 
     def test_round_rejects_out_of_range_values(self):
         spec = QuantizerSpec(k=4, c_q=1.0)
