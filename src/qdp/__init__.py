@@ -22,7 +22,7 @@ from .accountant import (
     rdp_to_dp,
     renyi_divergence,
 )
-from .flsim import FlRunConfig, GlobalModel, RunResult, SyntheticTaskSpec, train
+from .flsim import FlRunConfig, RunResult, SyntheticTaskSpec, train
 from .lira import AttackConfig, AttackReport, audit_run
 from .pmf import LevelPmf, NoiseSpec, partial_first_moment, quantized_gaussian_pmf
 from .quantizer import QuantizerSpec, clip_vector, quantize, stochastic_round
@@ -51,7 +51,6 @@ __all__ = [
     "budget_sweep",
     "FlRunConfig",
     "SyntheticTaskSpec",
-    "GlobalModel",
     "RunResult",
     "train",
     "AttackConfig",

@@ -11,9 +11,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__, accountant, flsim, lira
@@ -21,19 +19,6 @@ from .flsim import FlRunConfig
 from .lira import AttackConfig
 from .pmf import NoiseSpec
 from .quantizer import QuantizerSpec
-
-SEED_ENV_VAR = "QDP_SEED"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written next to every generated output directory."""
-
-    command: str
-    config_path: str
-    seed: int
-    output_dir: str
-    tool_version: str
 
 
 def parse_config(path: Path | str) -> dict[str, str]:
@@ -56,20 +41,10 @@ def parse_config(path: Path | str) -> dict[str, str]:
 
 
 def _load_configs(args) -> tuple[FlRunConfig, AttackConfig]:
-    """Both configs from the file; the seed comes from --seed, the file, or QDP_SEED."""
+    """Both configs from the file; --seed overrides the file's seed."""
     mapping = parse_config(args.config)
     if args.seed is not None:
         mapping["seed"] = str(args.seed)
-    elif "seed" not in mapping:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is None:
-            raise ValueError(
-                f"no seed given: pass --seed, set 'seed' in the config, or set {SEED_ENV_VAR}"
-            )
-        try:
-            mapping["seed"] = str(int(env))
-        except ValueError as exc:
-            raise ValueError(f"{SEED_ENV_VAR}: cannot parse {env!r} as int") from exc
     fl_config = flsim.config_from_flat_mapping(FlRunConfig, mapping)
     attack_config = flsim.config_from_flat_mapping(AttackConfig, mapping)
     known = {
@@ -83,16 +58,15 @@ def _load_configs(args) -> tuple[FlRunConfig, AttackConfig]:
 
 
 def _write_manifest(command: str, config_path: str, seed: int, out_dir: Path) -> None:
-    manifest = RunManifest(
-        command=command,
-        config_path=config_path,
-        seed=seed,
-        output_dir=str(out_dir),
-        tool_version=__version__,
-    )
-    (out_dir / "manifest.json").write_text(
-        json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-    )
+    """Provenance record written next to every generated output directory."""
+    manifest = {
+        "command": command,
+        "config_path": config_path,
+        "seed": seed,
+        "output_dir": str(out_dir),
+        "tool_version": __version__,
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_budget(args) -> int:

@@ -3,10 +3,10 @@
 Each round samples n of N clients, runs local SGD on a binary
 logistic-regression task, clips the weight delta to c_q/2, perturbs it with
 per-coordinate Gaussian noise, stochastically quantizes it onto the
-[-c_q, +c_q] lattice, and aggregates with dataset-size coefficients. The
-learning task is a synthetic two-Gaussian mixture, which keeps runs in the
-sub-second range and the loss distribution well-behaved for the
-membership-inference harness.
+[-c_q, +c_q] lattice, and averages the sampled clients' updates (FedAvg with
+equal shards). The learning task is a synthetic two-Gaussian mixture, which
+keeps runs in the sub-second range and the loss distribution well-behaved for
+the membership-inference harness.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, purpose, round, client), so runs are reproducible and client work
@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import logging
 import math
 import typing
 from dataclasses import dataclass, field
@@ -32,7 +31,6 @@ from .quantizer import QuantizerSpec, clip_vector, quantize
 __all__ = [
     "SyntheticTaskSpec",
     "FlRunConfig",
-    "GlobalModel",
     "RunResult",
     "sample_mixture",
     "make_task_data",
@@ -46,8 +44,6 @@ __all__ = [
     "config_from_flat_mapping",
     "write_run_artifact",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Stream tags for deriving per-purpose generators from the run seed.
 _DATA_STREAM = 0
@@ -75,8 +71,8 @@ class SyntheticTaskSpec:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError(f"task dimension must be >= 1, got {self.dimension}")
-        if self.samples_per_client < 0:
-            raise ValueError("samples_per_client must be nonnegative")
+        if self.samples_per_client < 1:
+            raise ValueError(f"samples_per_client must be >= 1, got {self.samples_per_client}")
         if not 0 <= self.margin < math.inf:
             raise ValueError(f"margin must be finite and nonnegative, got {self.margin}")
         if self.test_samples < 1:
@@ -126,19 +122,11 @@ class FlRunConfig:
 
 
 @dataclass(frozen=True)
-class GlobalModel:
-    """Linear classifier weights (bias last) at a given round."""
-
-    weights: np.ndarray
-    round: int
-
-
-@dataclass(frozen=True)
 class RunResult:
-    """Outcome of a training run: final model plus per-round test metrics."""
+    """Outcome of a training run: final weights (bias last) plus per-round test metrics."""
 
     config: FlRunConfig
-    model: GlobalModel
+    weights: np.ndarray
     metrics: list[tuple[int, float, float]]  # (round, test_accuracy, test_loss)
 
 
@@ -228,62 +216,46 @@ def privatize_delta(delta: np.ndarray, config: FlRunConfig, rng: np.random.Gener
     return h
 
 
-def aggregate(model: GlobalModel, deltas: list[np.ndarray], coeffs) -> GlobalModel:
-    """Add the deltas weighted by their coefficients |D_i|/|D|, renormalized over the sampled set."""
+def aggregate(weights: np.ndarray, deltas: list[np.ndarray]) -> np.ndarray:
+    """Add the mean of the deltas: FedAvg's |D_i|/|D| weighting, as every shard has one size."""
     if len(deltas) == 0:
         raise ValueError("no client updates to aggregate")
-    coeffs = np.asarray(coeffs, dtype=float)
-    total = coeffs.sum()
-    if not total > 0:
-        raise ValueError("aggregation coefficients must sum to a positive value")
-    weights = model.weights + (coeffs / total) @ np.stack(deltas)
-    return GlobalModel(weights=weights, round=model.round + 1)
+    return weights + np.mean(deltas, axis=0)
 
 
 def train(config: FlRunConfig) -> RunResult:
     """Run the full federated loop and log test metrics each round.
 
-    Rounds where every sampled client has an empty shard are skipped with a
-    diagnostic but still produce a metrics row. Non-finite weights abort the
-    run, naming the round.
+    Non-finite weights abort the run, naming the round.
     """
     shards, test = make_task_data(config)
     test_x, test_y = test
-    sizes = np.array([len(y) for _, y in shards], dtype=float)
-    total_size = sizes.sum()
-    model = GlobalModel(weights=np.zeros(config.task.dimension + 1), round=0)
+    weights = np.zeros(config.task.dimension + 1)
     metrics: list[tuple[int, float, float]] = []
     for t in range(config.rounds):
         sampling_rng = _stream(config.seed, _SAMPLING_STREAM, t)
         sampled = np.sort(
             sampling_rng.choice(config.n_clients_total, size=config.n_sampled, replace=False)
         )
-        deltas, coeffs = [], []
+        deltas = []
         for i in sampled:
-            if sizes[i] == 0:
-                logger.warning("round %d: skipping client %d with empty shard", t + 1, i)
-                continue
             client_rng = _stream(config.seed, _CLIENT_STREAM, t, int(i))
             x, y = shards[i]
             local_weights = sgd(
-                model.weights, x, y, config.local_steps, config.learning_rate,
+                weights, x, y, config.local_steps, config.learning_rate,
                 config.batch_size, client_rng,
             )
             if not np.all(np.isfinite(local_weights)):
                 raise RuntimeError(
                     f"training diverged: client {i} produced non-finite weights in round {t + 1}"
                 )
-            deltas.append(privatize_delta(local_weights - model.weights, config, client_rng))
-            coeffs.append(sizes[i] / total_size)
-        if not deltas:
-            logger.warning("round %d: no usable client updates, round skipped", t + 1)
-        else:
-            model = aggregate(model, deltas, coeffs)
-        if not np.all(np.isfinite(model.weights)):
+            deltas.append(privatize_delta(local_weights - weights, config, client_rng))
+        weights = aggregate(weights, deltas)
+        if not np.all(np.isfinite(weights)):
             raise RuntimeError(f"training diverged: non-finite weights after round {t + 1}")
-        accuracy, loss = evaluate(model.weights, test_x, test_y)
+        accuracy, loss = evaluate(weights, test_x, test_y)
         metrics.append((t + 1, accuracy, loss))
-    return RunResult(config=config, model=model, metrics=metrics)
+    return RunResult(config=config, weights=weights, metrics=metrics)
 
 
 def config_as_flat_mapping(config) -> dict[str, str]:
@@ -349,5 +321,5 @@ def write_run_artifact(result: RunResult, out_dir: Path | str) -> None:
         writer.writerow(["round", "test_accuracy", "test_loss"])
         for row in result.metrics:
             writer.writerow([row[0], repr(row[1]), repr(row[2])])
-    payload = {"round": result.model.round, "weights": list(result.model.weights)}
+    payload = {"round": result.config.rounds, "weights": list(result.weights)}
     (out / "model.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -152,7 +152,7 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
         )
 
     result = flsim.train(fl_config)
-    target_weights = result.model.weights
+    target_weights = result.weights
 
     member_rng = flsim._stream(attack_config.seed, _MEMBER_STREAM)
     member_ids = np.sort(member_rng.choice(n_train, size=half, replace=False))

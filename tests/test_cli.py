@@ -13,7 +13,6 @@ from qdp.accountant import MechanismSpec, epsilon_infinity, epsilon_one
 from qdp.cli import main, parse_config
 from qdp.flsim import (
     FlRunConfig,
-    GlobalModel,
     RunResult,
     SyntheticTaskSpec,
     config_as_flat_mapping,
@@ -179,7 +178,16 @@ class TestFlTrain:
         assert "sigma" in err
         assert not (tmp_path / "o").exists()
 
-    def test_env_seed_fallback(self, capsys, tmp_path, monkeypatch):
+    def test_empty_shards_rejected(self, capsys, tmp_path):
+        text = (CONFIGS / "fl_smoke.conf").read_text()
+        bad = tmp_path / "bad.conf"
+        bad.write_text(text.replace("samples_per_client = 8", "samples_per_client = 0"))
+        code, _, err = run(capsys, "fl-train", "--config", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "samples_per_client" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_seedless_config_rejected(self, capsys, tmp_path):
         seedless = tmp_path / "seedless.conf"
         seedless.write_text(
             "\n".join(
@@ -190,12 +198,8 @@ class TestFlTrain:
         )
         code, _, err = run(capsys, "fl-train", "--config", str(seedless), "--out", str(tmp_path / "x"))
         assert code == 1
-        assert "QDP_SEED" in err
-        monkeypatch.setenv("QDP_SEED", "5")
-        code, _, _ = run(capsys, "fl-train", "--config", str(seedless), "--out", str(tmp_path / "y"))
-        assert code == 0
-        manifest = json.loads((tmp_path / "y" / "manifest.json").read_text())
-        assert manifest["seed"] == 5
+        assert "'seed'" in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestMia:
@@ -279,7 +283,7 @@ def fl_configs(draw):
     n_total = draw(st.integers(1, 1000))
     task = SyntheticTaskSpec(
         dimension=draw(st.integers(1, 500)),
-        samples_per_client=draw(st.integers(0, 500)),
+        samples_per_client=draw(st.integers(1, 500)),
         margin=draw(st.floats(min_value=0.0, **finite)),
         test_samples=draw(st.integers(1, 10**6)),
     )
@@ -319,11 +323,11 @@ class TestConfigSchema:
     def test_written_configs_parse_back(self, fl_config, attack_config):
         # the run directory's config file and the report's config echo are
         # both read back through the CLI's config-file parser
-        model = GlobalModel(weights=np.zeros(fl_config.task.dimension + 1), round=0)
+        weights = np.zeros(fl_config.task.dimension + 1)
         report = AttackReport(scores={}, accuracy=0.5, roc_points=[(0.0, 0.0)])
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
-            write_run_artifact(RunResult(config=fl_config, model=model, metrics=[]), out)
+            write_run_artifact(RunResult(config=fl_config, weights=weights, metrics=[]), out)
             mapping = parse_config(out / "config")
             assert config_from_flat_mapping(FlRunConfig, mapping) == fl_config
 

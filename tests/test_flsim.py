@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from qdp import flsim
 from qdp.flsim import (
     FlRunConfig,
-    GlobalModel,
     SyntheticTaskSpec,
     aggregate,
     config_from_flat_mapping,
@@ -65,6 +65,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="margin must be finite"):
             SyntheticTaskSpec(margin=value)
 
+    def test_rejects_empty_shards(self):
+        with pytest.raises(ValueError, match="samples_per_client"):
+            SyntheticTaskSpec(samples_per_client=0)
+
 
 class TestTaskData:
     def test_shapes_and_determinism(self):
@@ -77,7 +81,7 @@ class TestTaskData:
         np.testing.assert_array_equal(shards[2][0], shards2[2][0])
 
     def test_margin_separates_class_means(self):
-        task = SyntheticTaskSpec(dimension=3, samples_per_client=0, margin=3.0, test_samples=1)
+        task = SyntheticTaskSpec(dimension=3, samples_per_client=1, margin=3.0, test_samples=1)
         x, y = sample_mixture(philox(1), 20_000, task)
         gap = x[y == 1, 0].mean() - x[y == 0, 0].mean()
         assert gap == pytest.approx(3.0, abs=0.1)
@@ -206,41 +210,16 @@ class TestPrivatizeDelta:
 
 class TestAggregate:
     def test_equal_coefficients(self):
-        model = GlobalModel(weights=np.zeros(2), round=0)
-        out = aggregate(model, [np.array([1.0, 1.0]), np.array([3.0, 3.0])], [0.5, 0.5])
-        np.testing.assert_allclose(out.weights, [2.0, 2.0])
-        assert out.round == 1
+        out = aggregate(np.zeros(2), [np.array([1.0, 1.0]), np.array([3.0, 3.0])])
+        np.testing.assert_allclose(out, [2.0, 2.0])
 
     def test_single_client_adds_delta(self):
-        model = GlobalModel(weights=np.array([1.0, 2.0]), round=3)
-        out = aggregate(model, [np.array([0.5, -0.5])], [0.7])
-        np.testing.assert_allclose(out.weights, [1.5, 1.5])
-        assert out.round == 4
-
-    def test_renormalizes_over_sampled_set(self):
-        # coefficients 0.25 each (|D_i|/|D| with 4 equal shards), 2 sampled
-        model = GlobalModel(weights=np.zeros(1), round=0)
-        out = aggregate(model, [np.array([2.0]), np.array([4.0])], [0.25, 0.25])
-        np.testing.assert_allclose(out.weights, [3.0])
-
-    def test_partition_linearity(self):
-        rng = philox(5)
-        model = GlobalModel(weights=rng.normal(size=4), round=0)
-        deltas = [rng.normal(size=4) for _ in range(4)]
-        coeffs = np.array([0.1, 0.2, 0.3, 0.4])
-        whole = aggregate(model, deltas, coeffs)
-        # collapse each half into its coefficient-weighted mean, then combine
-        def collapse(part):
-            c = coeffs[part]
-            return (c / c.sum()) @ np.stack(deltas)[part], float(c.sum())
-
-        (d1, c1), (d2, c2) = collapse(slice(0, 2)), collapse(slice(2, 4))
-        split = aggregate(model, [d1, d2], [c1, c2])
-        np.testing.assert_allclose(split.weights, whole.weights, atol=1e-12)
+        out = aggregate(np.array([1.0, 2.0]), [np.array([0.5, -0.5])])
+        np.testing.assert_allclose(out, [1.5, 1.5])
 
     def test_empty_updates_rejected(self):
         with pytest.raises(ValueError, match="no client updates"):
-            aggregate(GlobalModel(weights=np.zeros(1), round=0), [], [])
+            aggregate(np.zeros(1), [])
 
 
 class TestTrain:
@@ -275,7 +254,24 @@ class TestTrain:
         for _ in range(12):
             residual = expit(x @ w[:-1] + w[-1]) - y
             w -= 0.3 * np.concatenate([x.T @ residual, [residual.sum()]]) / len(y)
-        np.testing.assert_allclose(result.model.weights, w, atol=1e-9)
+        np.testing.assert_allclose(result.weights, w, atol=1e-9)
+
+    def test_round_update_is_mean_over_sampled_clients(self):
+        # 2 of 4 clients sampled: the update divides by n = 2, not by N = 4
+        config = make_config(n_clients_total=4, n_sampled=2, rounds=1, batch_size=3, c_q=1e9)
+        result = train(config)
+        shards, _ = make_task_data(config)
+        sampling_rng = flsim._stream(config.seed, flsim._SAMPLING_STREAM, 0)
+        sampled = np.sort(sampling_rng.choice(4, size=2, replace=False))
+        start = np.zeros(6)
+        local = [
+            sgd(
+                start, *shards[i], config.local_steps, config.learning_rate, config.batch_size,
+                flsim._stream(config.seed, flsim._CLIENT_STREAM, 0, int(i)),
+            )
+            for i in sampled
+        ]
+        np.testing.assert_allclose(result.weights, np.mean(local, axis=0), rtol=0, atol=1e-12)
 
     def test_identical_seed_identical_metrics(self):
         config = make_config(sigma=0.1, k=8, seed=42)
@@ -285,7 +281,7 @@ class TestTrain:
         config = make_config(n_clients_total=8, n_sampled=2, rounds=6, seed=3)
         result = train(config)
         assert len(result.metrics) == 6
-        assert np.all(np.isfinite(result.model.weights))
+        assert np.all(np.isfinite(result.weights))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_round_number(self):
