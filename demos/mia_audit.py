@@ -36,7 +36,7 @@ def attack(sigma, k):
             seed=seed,
             task=task,
         )
-        accs.append(audit_run(config, AttackConfig(seed=seed)).accuracy)
+        accs.append(audit_run(config, AttackConfig()).accuracy)
     return float(np.mean(accs))
 
 

@@ -120,13 +120,21 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _k_list(text: str) -> list[int]:
+def _level(text: str) -> int:
+    """One quantization level: the type of --k and of each --k-list entry."""
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        k = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
-    if not values or any(k < 2 for k in values):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if k < 2:
         raise argparse.ArgumentTypeError("every quantization level must be an integer >= 2")
+    return k
+
+
+def _k_list(text: str) -> list[int]:
+    values = [_level(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return values
 
 
@@ -140,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     budget = sub.add_parser("budget", help="print one privacy budget")
-    budget.add_argument("--k", type=int, required=True, help="quantization levels (>= 2)")
+    budget.add_argument("--k", type=_level, required=True, help="quantization levels (>= 2)")
     budget.add_argument("--cq", type=_positive_float, required=True, help="clipping radius")
     budget.add_argument("--sigma", type=_positive_float, required=True, help="noise std dev")
     budget.add_argument("--alpha", choices=("1", "inf"), default="1", help="Renyi order")

@@ -76,7 +76,7 @@ class SyntheticTaskSpec:
         if not 0 <= self.margin < math.inf:
             raise ValueError(f"margin must be finite and nonnegative, got {self.margin}")
         if self.test_samples < 1:
-            raise ValueError("test_samples must be >= 1")
+            raise ValueError(f"test_samples must be >= 1, got {self.test_samples}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class FlRunConfig:
         if self.k is not None and self.k < 2:
             raise ValueError(f"quantization level k must be >= 2 or None, got {self.k}")
         if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)

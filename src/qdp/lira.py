@@ -5,13 +5,14 @@ sample, fits a per-sample Gaussian to the shadow losses (the loss
 distribution under non-membership), and scores membership of each audit
 sample by the upper-tail probability of the target model's loss under that
 fit: unusually low loss means member-like. Reported accuracy is the maximal
-balanced accuracy over score thresholds.
+balanced accuracy over score thresholds. Every draw comes from a Philox
+stream keyed on the run seed, so the run's config alone fixes the audit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,6 @@ __all__ = [
 # Degenerate shadow agreement must not produce infinite z-scores.
 SIGMA_FLOOR = 1e-6
 
-ACCURACY_RULE = "max balanced accuracy over score thresholds"
-
 _MEMBER_STREAM = 0
 _NONMEMBER_STREAM = 1
 _SHADOW_STREAM = 2
@@ -42,7 +41,7 @@ _SHADOW_STREAM = 2
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Shadow-ensemble size, audit-set size, and the attack's own seed.
+    """Shadow-ensemble size and audit-set size; the attack has no seed of its own.
 
     Each shadow model is trained centrally on fresh draws from the task
     distribution, as many samples as the target trains on, for the target's
@@ -52,7 +51,6 @@ class AttackConfig:
 
     m_shadows: int = 16
     audit_size: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if self.m_shadows < 2:
@@ -61,8 +59,6 @@ class AttackConfig:
             )
         if self.audit_size < 2 or self.audit_size % 2 != 0:
             raise ValueError(f"audit_size must be even and >= 2, got {self.audit_size}")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,6 @@ class AttackReport:
     scores: dict[int, float]
     accuracy: float
     roc_points: list[tuple[float, float]]
-    seeds: tuple[int, ...] = field(default=())
 
 
 def fit_out_distribution(models: list[np.ndarray], x: np.ndarray, y: np.ndarray):
@@ -101,7 +96,7 @@ def score(loss, mu_out, sigma_out):
 
 
 def attack_accuracy(scores, is_member) -> tuple[float, list[tuple[float, float]]]:
-    """Best balanced accuracy and ROC sweep of `score >= threshold` rules.
+    """Max balanced accuracy over `score >= threshold` rules, and their ROC sweep.
 
     Takes positional arrays of scores and membership flags; requires a
     balanced audit set. One sort gives, for every distinct score used as
@@ -137,9 +132,9 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
     """Train the target, mount the offline attack, and report its accuracy.
 
     Audit members are drawn from the target's training data; non-members and
-    every shadow shard are fresh draws from the same distribution, so shadow
-    training sets are disjoint from the audit set by construction (and
-    checked structurally on the sample ids).
+    every shadow shard are fresh draws from the same distribution, each from
+    its own stream, so shadow training sets exclude the audit set by
+    construction.
     """
     half = attack_config.audit_size // 2
     shards, _ = flsim.make_task_data(fl_config)
@@ -154,9 +149,9 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
     result = flsim.train(fl_config)
     target_weights = result.weights
 
-    member_rng = flsim._stream(attack_config.seed, _MEMBER_STREAM)
+    member_rng = flsim._stream(fl_config.seed, _MEMBER_STREAM)
     member_ids = np.sort(member_rng.choice(n_train, size=half, replace=False))
-    nonmember_rng = flsim._stream(attack_config.seed, _NONMEMBER_STREAM)
+    nonmember_rng = flsim._stream(fl_config.seed, _NONMEMBER_STREAM)
     fresh_x, fresh_y = flsim.sample_mixture(nonmember_rng, half, fl_config.task)
 
     audit_x = np.vstack([train_x[member_ids], fresh_x])
@@ -167,15 +162,9 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
     steps = fl_config.rounds * fl_config.local_steps
     start = np.zeros(fl_config.task.dimension + 1)
     models = []
-    next_shadow_id = n_train + half
-    audit_id_set = set(audit_ids)
     for m in range(attack_config.m_shadows):
-        shadow_rng = flsim._stream(attack_config.seed, _SHADOW_STREAM, m)
+        shadow_rng = flsim._stream(fl_config.seed, _SHADOW_STREAM, m)
         sx, sy = flsim.sample_mixture(shadow_rng, n_train, fl_config.task)
-        shadow_ids = set(range(next_shadow_id, next_shadow_id + n_train))
-        next_shadow_id += n_train
-        if shadow_ids & audit_id_set:
-            raise AssertionError("shadow training shard overlaps the audit set")
         models.append(
             flsim.sgd(start, sx, sy, steps, fl_config.learning_rate, len(sy), shadow_rng)
         )
@@ -188,7 +177,6 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
         scores=dict(zip(audit_ids, scores.tolist())),
         accuracy=accuracy,
         roc_points=roc_points,
-        seeds=(fl_config.seed, attack_config.seed),
     )
 
 
@@ -201,21 +189,14 @@ def write_report(
     """Serialize an attack report as stable, pretty-printed JSON.
 
     The config echo holds every field of both configs in the config-file
-    schema, with the attack's ``seed`` under ``attack_seed``.
+    schema; written out as ``key = value`` lines it is a config file that
+    reproduces the audit.
     """
-    attack = {
-        ("attack_seed" if key == "seed" else key): value
-        for key, value in flsim.config_as_flat_mapping(attack_config).items()
-    }
     payload = {
-        "config": {
-            **flsim.config_as_flat_mapping(fl_config),
-            **attack,
-            "accuracy_rule": ACCURACY_RULE,
-        },
+        "config": flsim.config_as_flat_mapping(fl_config)
+        | flsim.config_as_flat_mapping(attack_config),
         "scores": {str(sid): s for sid, s in report.scores.items()},
         "accuracy": report.accuracy,
         "roc_points": [list(pt) for pt in report.roc_points],
-        "seeds": list(report.seeds),
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

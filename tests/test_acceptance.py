@@ -60,7 +60,7 @@ def _mean_attack_accuracy(sigma, k):
     return float(
         np.mean(
             [
-                audit_run(_mia_config(seed, sigma, k), AttackConfig(seed=seed)).accuracy
+                audit_run(_mia_config(seed, sigma, k), AttackConfig()).accuracy
                 for seed in TREND_SEEDS
             ]
         )

@@ -68,10 +68,13 @@ class TestBudget:
             main(["budget", "--k", "2", "--cq", "1", "--sigma", "1", "--alpha", "3"])
         assert excinfo.value.code == 2
 
-    def test_invalid_k_is_runtime_error(self, capsys):
-        code, _, err = run(capsys, "budget", "--k", "1", "--cq", "1", "--sigma", "1")
-        assert code == 1
-        assert "at least 2 levels" in err
+    @pytest.mark.parametrize("k", ["1", "0"])
+    def test_invalid_k_is_usage_error(self, capsys, k):
+        # the same check and message as every --k-list entry
+        with pytest.raises(SystemExit) as excinfo:
+            main(["budget", "--k", k, "--cq", "1", "--sigma", "1"])
+        assert excinfo.value.code == 2
+        assert "every quantization level must be an integer >= 2" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -255,6 +258,17 @@ class TestMia:
             tmp_path / "b" / "report.json"
         ).read_bytes()
 
+    def test_config_echo_reproduces_report(self, capsys, tmp_path, quick_config):
+        first = tmp_path / "first"
+        run(capsys, "mia", "--config", str(quick_config), "--seed", "3", "--out", str(first))
+        echo = json.loads((first / "report.json").read_text())["config"]
+        echo_conf = tmp_path / "echo.conf"
+        echo_conf.write_text("".join(f"{key} = {value}\n" for key, value in echo.items()))
+        again = tmp_path / "again"
+        code, _, err = run(capsys, "mia", "--config", str(echo_conf), "--out", str(again))
+        assert code == 0, err
+        assert (again / "report.json").read_bytes() == (first / "report.json").read_bytes()
+
 
 class TestConfigParser:
     def test_comments_and_whitespace(self, tmp_path):
@@ -306,7 +320,6 @@ attack_configs = st.builds(
     AttackConfig,
     m_shadows=st.integers(2, 10**4),
     audit_size=st.integers(1, 10**4).map(lambda n: 2 * n),
-    seed=st.integers(0, 2**63),
 )
 
 
@@ -336,8 +349,7 @@ class TestConfigSchema:
             (out / "echo.conf").write_text("".join(f"{k} = {v}\n" for k, v in echo.items()))
             mapping = parse_config(out / "echo.conf")
         assert config_from_flat_mapping(FlRunConfig, mapping) == fl_config
-        attack_mapping = {**mapping, "seed": mapping["attack_seed"]}
-        assert config_from_flat_mapping(AttackConfig, attack_mapping) == attack_config
+        assert config_from_flat_mapping(AttackConfig, mapping) == attack_config
 
     def test_none_parses_in_any_case(self):
         for text in ("None", "NONE"):

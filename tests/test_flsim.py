@@ -69,6 +69,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="samples_per_client"):
             SyntheticTaskSpec(samples_per_client=0)
 
+    @pytest.mark.parametrize(
+        "build, name, value", [(SyntheticTaskSpec, "test_samples", 0), (make_config, "seed", -1)]
+    )
+    def test_message_names_bad_value(self, build, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must .*, got {value}$"):
+            build(**{name: value})
+
 
 class TestTaskData:
     def test_shapes_and_determinism(self):
