@@ -9,10 +9,9 @@ the seed.
 
 from pathlib import Path
 
-from qdp import FlRunConfig, SyntheticTaskSpec, train
+from qdp import FlRunConfig, train
 from qdp.flsim import write_run_artifact
 
-task = SyntheticTaskSpec(dimension=20, samples_per_client=8, margin=5.0)
 base = dict(
     n_clients_total=8,
     n_sampled=8,
@@ -22,7 +21,9 @@ base = dict(
     batch_size=8,
     c_q=1.0,
     seed=0,
-    task=task,
+    dimension=20,
+    samples_per_client=8,
+    margin=5.0,
 )
 
 clean = train(FlRunConfig(sigma=0.0, k=None, **base))

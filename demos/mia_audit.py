@@ -14,9 +14,8 @@ Each audit trains 1 target + 16 shadow models, so expect a few seconds.
 
 import numpy as np
 
-from qdp import AttackConfig, FlRunConfig, SyntheticTaskSpec, audit_run
+from qdp import AttackConfig, FlRunConfig, audit_run
 
-task = SyntheticTaskSpec(dimension=20, samples_per_client=8, margin=1.5)
 SEEDS = range(5)
 
 
@@ -34,7 +33,9 @@ def attack(sigma, k):
             sigma=sigma,
             k=k,
             seed=seed,
-            task=task,
+            dimension=20,
+            samples_per_client=8,
+            margin=1.5,
         )
         accs.append(audit_run(config, AttackConfig()).accuracy)
     return float(np.mean(accs))

@@ -22,9 +22,9 @@ from .accountant import (
     rdp_to_dp,
     renyi_divergence,
 )
-from .flsim import FlRunConfig, RunResult, SyntheticTaskSpec, train
+from .flsim import FlRunConfig, RunResult, train
 from .lira import AttackConfig, AttackReport, audit_run
-from .pmf import LevelPmf, NoiseSpec, partial_first_moment, quantized_gaussian_pmf
+from .pmf import LevelPmf, NoiseSpec, quantized_gaussian_pmf
 from .quantizer import QuantizerSpec, clip_vector, quantize, stochastic_round
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "quantize",
     "NoiseSpec",
     "LevelPmf",
-    "partial_first_moment",
     "quantized_gaussian_pmf",
     "RdpPoint",
     "DpPoint",
@@ -50,7 +49,6 @@ __all__ = [
     "calibrate_sigma",
     "budget_sweep",
     "FlRunConfig",
-    "SyntheticTaskSpec",
     "RunResult",
     "train",
     "AttackConfig",

@@ -11,6 +11,7 @@ calibration complete a small accounting toolkit. Epsilons are in nats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,23 @@ class MechanismSpec:
     noise: NoiseSpec
     quant: QuantizerSpec
 
+    def __post_init__(self):
+        # the budgets are evaluated on the lattice in noise units
+        sigma = self.noise.sigma
+        spacing, span = self.quant.delta / sigma, 2.0 * self.quant.c_q / sigma
+        if not (spacing >= sys.float_info.min and span < math.inf):
+            raise ValueError(
+                f"{self!r} is out of float range in noise units: "
+                f"delta/sigma = {spacing:g}, 2*c_q/sigma = {span:g}"
+            )
+
+
+def _finite(budget: float, mech: MechanismSpec) -> float:
+    # every level mass is positive, so an infinite budget is an overflow
+    if budget == math.inf:
+        raise ValueError(f"the budget of {mech!r} exceeds the largest float")
+    return budget
+
 
 def _divergence(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> float:
     # D_alpha(p || q) from log masses; levels where p vanishes contribute nothing
@@ -111,9 +129,10 @@ def renyi_divergence(p: LevelPmf, q: LevelPmf, alpha: float) -> float:
 
 def epsilon_one(mech: MechanismSpec) -> float:
     """alpha = 1 budget: KL divergence between the extremal-input pmfs; the
-    pmf at -c_q/2 is the mirror image of the one at +c_q/2."""
+    pmf at -c_q/2 is the mirror image of the one at +c_q/2. Raises where
+    the budget exceeds the largest float."""
     log_p = quantized_gaussian_pmf(mech.quant.c_q / 2.0, mech.noise, mech.quant).log_probs
-    return _divergence(log_p, log_p[::-1], 1.0)
+    return _finite(_divergence(log_p, log_p[::-1], 1.0), mech)
 
 
 def epsilon_infinity(mech: MechanismSpec) -> float:
@@ -123,12 +142,14 @@ def epsilon_infinity(mech: MechanismSpec) -> float:
     The paper's closed-form bound: the exact D_inf of the extremal pmfs is
     smaller (0.689 vs 1.319 at k = 2, sigma = 1; 7146.3 vs 7386.3 at k = 8,
     sigma = 0.01). Finite and positive for every valid configuration,
-    unlike the Gaussian baseline whose alpha -> infinity budget diverges.
+    unlike the Gaussian baseline whose alpha -> infinity budget diverges;
+    where it exceeds the largest float (k >= 3, sigma below ~1e-154 c_q)
+    it raises.
     """
     quant, sigma, half = mech.quant, mech.noise.sigma, mech.quant.c_q / 2.0
     top_cell = (np.array([quant.level(quant.k - 2), quant.c_q]) + half) / sigma
     log_fwd, _ = log_cell_moments(*top_cell)
-    return math.log(quant.delta / sigma) - float(log_fwd)
+    return _finite(math.log(quant.delta / sigma) - float(log_fwd), mech)
 
 
 def gaussian_rdp_baseline(sensitivity: float, sigma: float, alpha: float) -> RdpPoint:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -47,10 +48,7 @@ def _load_configs(args) -> tuple[FlRunConfig, AttackConfig]:
         mapping["seed"] = str(args.seed)
     fl_config = flsim.config_from_flat_mapping(FlRunConfig, mapping)
     attack_config = flsim.config_from_flat_mapping(AttackConfig, mapping)
-    known = {
-        **flsim.config_as_flat_mapping(fl_config),
-        **flsim.config_as_flat_mapping(attack_config),
-    }
+    known = {f.name for cls in (FlRunConfig, AttackConfig) for f in dataclasses.fields(cls)}
     for key in mapping:
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")

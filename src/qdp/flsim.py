@@ -6,7 +6,8 @@ per-coordinate Gaussian noise, stochastically quantizes it onto the
 [-c_q, +c_q] lattice, and averages the sampled clients' updates (FedAvg with
 equal shards). The learning task is a synthetic two-Gaussian mixture, which
 keeps runs in the sub-second range and the loss distribution well-behaved for
-the membership-inference harness.
+the membership-inference harness. One flat ``FlRunConfig`` holds every
+setting of a run, the task's included, under the keys of its config file.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, purpose, round, client), so runs are reproducible and client work
@@ -20,7 +21,7 @@ import dataclasses
 import json
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from scipy import special
 from .quantizer import QuantizerSpec, clip_vector, quantize
 
 __all__ = [
-    "SyntheticTaskSpec",
     "FlRunConfig",
     "RunResult",
     "sample_mixture",
@@ -56,32 +56,13 @@ def _stream(*key: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class SyntheticTaskSpec:
-    """Two-Gaussian-mixture binary classification task.
-
-    Class means sit at +-margin/2 along the first feature axis with unit
-    isotropic covariance, so the Bayes accuracy is Phi(margin/2).
-    """
-
-    dimension: int = 20
-    samples_per_client: int = 8
-    margin: float = 1.5
-    test_samples: int = 2000
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError(f"task dimension must be >= 1, got {self.dimension}")
-        if self.samples_per_client < 1:
-            raise ValueError(f"samples_per_client must be >= 1, got {self.samples_per_client}")
-        if not 0 <= self.margin < math.inf:
-            raise ValueError(f"margin must be finite and nonnegative, got {self.margin}")
-        if self.test_samples < 1:
-            raise ValueError(f"test_samples must be >= 1, got {self.test_samples}")
-
-
-@dataclass(frozen=True)
 class FlRunConfig:
-    """Hyperparameters of one federated run; k=None disables quantization."""
+    """Hyperparameters of one federated run; k=None disables quantization.
+
+    The task is a two-Gaussian mixture: class means sit at +-margin/2 along
+    the first feature axis with unit isotropic covariance, so the Bayes
+    accuracy is Phi(margin/2).
+    """
 
     n_clients_total: int
     n_sampled: int
@@ -93,7 +74,10 @@ class FlRunConfig:
     sigma: float
     k: int | None
     seed: int
-    task: SyntheticTaskSpec = field(default_factory=SyntheticTaskSpec)
+    dimension: int = 20
+    samples_per_client: int = 8
+    margin: float = 1.5
+    test_samples: int = 2000
 
     def __post_init__(self):
         if not 1 <= self.n_sampled <= self.n_clients_total:
@@ -119,6 +103,14 @@ class FlRunConfig:
             raise ValueError(f"quantization level k must be >= 2 or None, got {self.k}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        if self.dimension < 1:
+            raise ValueError(f"task dimension must be >= 1, got {self.dimension}")
+        if self.samples_per_client < 1:
+            raise ValueError(f"samples_per_client must be >= 1, got {self.samples_per_client}")
+        if not 0 <= self.margin < math.inf:
+            raise ValueError(f"margin must be finite and nonnegative, got {self.margin}")
+        if self.test_samples < 1:
+            raise ValueError(f"test_samples must be >= 1, got {self.test_samples}")
 
 
 @dataclass(frozen=True)
@@ -130,11 +122,11 @@ class RunResult:
     metrics: list[tuple[int, float, float]]  # (round, test_accuracy, test_loss)
 
 
-def sample_mixture(rng: np.random.Generator, n: int, task: SyntheticTaskSpec):
-    """Draw n labelled points from the task's two-Gaussian mixture."""
+def sample_mixture(rng: np.random.Generator, n: int, config: FlRunConfig):
+    """Draw n labelled points from the run's two-Gaussian mixture."""
     y = rng.integers(0, 2, size=n).astype(float)
-    x = rng.standard_normal((n, task.dimension))
-    x[:, 0] += (2.0 * y - 1.0) * (task.margin / 2.0)
+    x = rng.standard_normal((n, config.dimension))
+    x[:, 0] += (2.0 * y - 1.0) * (config.margin / 2.0)
     return x, y
 
 
@@ -142,10 +134,10 @@ def make_task_data(config: FlRunConfig):
     """Client shards and the shared test set, deterministic in the run seed."""
     rng = _stream(config.seed, _DATA_STREAM)
     shards = [
-        sample_mixture(rng, config.task.samples_per_client, config.task)
+        sample_mixture(rng, config.samples_per_client, config)
         for _ in range(config.n_clients_total)
     ]
-    test = sample_mixture(rng, config.task.test_samples, config.task)
+    test = sample_mixture(rng, config.test_samples, config)
     return shards, test
 
 
@@ -230,7 +222,7 @@ def train(config: FlRunConfig) -> RunResult:
     """
     shards, test = make_task_data(config)
     test_x, test_y = test
-    weights = np.zeros(config.task.dimension + 1)
+    weights = np.zeros(config.dimension + 1)
     metrics: list[tuple[int, float, float]] = []
     for t in range(config.rounds):
         sampling_rng = _stream(config.seed, _SAMPLING_STREAM, t)
@@ -261,19 +253,13 @@ def train(config: FlRunConfig) -> RunResult:
 def config_as_flat_mapping(config) -> dict[str, str]:
     """Flatten a config dataclass to the ``key = value`` schema of config files.
 
-    Keys are the field names in declaration order, with nested dataclass
-    fields (a run's ``task``) inlined. None is written as ``none``;
-    ``config_from_flat_mapping`` inverts this.
+    Keys are the field names in declaration order. None is written as
+    ``none``; ``config_from_flat_mapping`` inverts this.
     """
     flat = {}
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if dataclasses.is_dataclass(value):
-            flat.update(config_as_flat_mapping(value))
-        elif value is None:
-            flat[f.name] = "none"
-        else:
-            flat[f.name] = str(value)
+        flat[f.name] = "none" if value is None else str(value)
     return flat
 
 
@@ -300,12 +286,9 @@ def config_from_flat_mapping(cls, mapping: dict[str, str]):
     hints = typing.get_type_hints(cls)
     values = {}
     for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        if dataclasses.is_dataclass(hint):
-            values[f.name] = config_from_flat_mapping(hint, mapping)
-        elif f.name in mapping:
-            values[f.name] = _parse_value(f.name, mapping[f.name], hint)
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+        if f.name in mapping:
+            values[f.name] = _parse_value(f.name, mapping[f.name], hints[f.name])
+        elif f.default is dataclasses.MISSING:
             raise ValueError(f"missing config key {f.name!r}")
     return cls(**values)
 

@@ -152,7 +152,7 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
     member_rng = flsim._stream(fl_config.seed, _MEMBER_STREAM)
     member_ids = np.sort(member_rng.choice(n_train, size=half, replace=False))
     nonmember_rng = flsim._stream(fl_config.seed, _NONMEMBER_STREAM)
-    fresh_x, fresh_y = flsim.sample_mixture(nonmember_rng, half, fl_config.task)
+    fresh_x, fresh_y = flsim.sample_mixture(nonmember_rng, half, fl_config)
 
     audit_x = np.vstack([train_x[member_ids], fresh_x])
     audit_y = np.concatenate([train_y[member_ids], fresh_y])
@@ -160,11 +160,11 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
     is_member = np.arange(2 * half) < half
 
     steps = fl_config.rounds * fl_config.local_steps
-    start = np.zeros(fl_config.task.dimension + 1)
+    start = np.zeros(fl_config.dimension + 1)
     models = []
     for m in range(attack_config.m_shadows):
         shadow_rng = flsim._stream(fl_config.seed, _SHADOW_STREAM, m)
-        sx, sy = flsim.sample_mixture(shadow_rng, n_train, fl_config.task)
+        sx, sy = flsim.sample_mixture(shadow_rng, n_train, fl_config)
         models.append(
             flsim.sgd(start, sx, sy, steps, fl_config.learning_rate, len(sy), shadow_rng)
         )

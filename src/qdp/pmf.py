@@ -19,7 +19,6 @@ from .quantizer import QuantizerSpec
 __all__ = [
     "NoiseSpec",
     "LevelPmf",
-    "partial_first_moment",
     "log_cell_moments",
     "quantized_gaussian_pmf",
 ]
@@ -74,7 +73,8 @@ class LevelPmf:
 def _narrow_cell(a, b):
     # Taylor series phi(a + u) / phi(a) = sum_n d_n (u/w)^n with
     # d_{n+1} = -(a w d_n + w^2 d_{n-1}) / (n+1), integrated against u and
-    # w - u over [0, w]; the terms fall faster than 1/n! for w b < 1, b >= |a|
+    # w - u over [0, w]; the terms fall faster than 1/n! for w b < 1, b >= |a|.
+    # Both moments over w^2 phi(a): w^2 underflows long before w does.
     w = b - a
     d_prev, d = np.zeros_like(a), np.ones_like(a)
     fwd, rev = np.zeros_like(a), np.zeros_like(a)
@@ -84,7 +84,7 @@ def _narrow_cell(a, b):
         rev += d / ((n + 1) * (n + 2))
         d_prev, d = d, (a * w * d + w * w * d_prev) * (-1.0 / (n + 1))
         n += 1
-    return w * w * fwd, w * w * rev
+    return fwd, rev
 
 
 def _tail_cell(a, b):
@@ -116,38 +116,28 @@ def log_cell_moments(lo, hi):
     mean is the mirror image of one above it, with the moments swapped.
     Cells above the mean factor out phi(lo), so tail masses keep their full
     exponent; the cell holding the mean uses CDF differences, and narrow
-    cells, where those closed forms would cancel, a Taylor series in the width.
+    cells, where those closed forms would cancel, a Taylor series in the width
+    that factors out the squared width too. A point so far out that its square
+    overflows gives phi = 0 and a log moment of -inf, the float limit.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     below = lo + hi < 0
     a, b = np.where(below, -hi, lo), np.where(below, -lo, hi)  # now b >= |a|
-    narrow = (b - a < _NARROW_CELL) & ((b - a) * b < 1.0)
-    at_mean = ~narrow & (a < 0)
-    tail = ~narrow & ~at_mean
-    fwd, rev = np.empty(a.shape), np.empty(a.shape)
-    for branch, mask in (_narrow_cell, narrow), (_tail_cell, tail), (_mean_cell, at_mean):
-        if mask.any():
-            fwd[mask], rev[mask] = branch(a[mask], b[mask])
-    with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
+        w = b - a
+        narrow = (w < _NARROW_CELL) & (w * b < 1.0)
+        at_mean = ~narrow & (a < 0)
+        tail = ~narrow & ~at_mean
+        fwd, rev = np.empty(a.shape), np.empty(a.shape)
+        for branch, mask in (_narrow_cell, narrow), (_tail_cell, tail), (_mean_cell, at_mean):
+            if mask.any():
+                fwd[mask], rev[mask] = branch(a[mask], b[mask])
         log_scale = np.where(at_mean, 0.0, -0.5 * a * a - _LOG_SQRT_2PI)  # log phi(a)
+        if narrow.any():
+            log_scale += 2.0 * np.log(w, out=np.zeros(w.shape), where=narrow)
         log_fwd = log_scale + np.log(np.maximum(fwd, 0.0))
         log_rev = log_scale + np.log(np.maximum(rev, 0.0))
     return np.where(below, log_rev, log_fwd), np.where(below, log_fwd, log_rev)
-
-
-def partial_first_moment(a, b, mu, sigma: float):
-    """Integral of f(t) * (t - a) over [a, b], with f the density of N(mu, sigma^2).
-
-    sigma times the first ``log_cell_moments`` of the standardized cell, so
-    it keeps full relative accuracy until it underflows.
-    """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if np.any(a > b):
-        raise ValueError("partial first moment needs a <= b")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    log_fwd, _ = log_cell_moments((a - mu) / sigma, (b - mu) / sigma)
-    return sigma * np.exp(log_fwd)
 
 
 def quantized_gaussian_pmf(x: float, noise: NoiseSpec, spec: QuantizerSpec) -> LevelPmf:

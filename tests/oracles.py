@@ -46,6 +46,22 @@ def mp_log_cell_moments(lo, hi, dps=60):
         return tuple(float(m) for m in _mp_log_cell_moments(lo, hi))
 
 
+def mp_epsilon_infinity(k, c_q, sigma, dps=900):
+    """log(delta / m), m the first moment of N(-c_q/2, sigma^2) over the top
+    lattice cell, from the exact lattice at ``dps`` digits.
+
+    The standardized cell is ~c_q/sigma wide and its closed-form moment
+    cancels down to ~(c_q/sigma)^2 of phi, so ``dps`` must exceed
+    2*log10(sigma/c_q) by the digits wanted.
+    """
+    with mp.workdps(dps):
+        c_q, sigma = mp.mpf(c_q), mp.mpf(sigma)
+        delta = 2 * c_q / (k - 1)
+        top = 3 * c_q / 2  # the top level seen from the input -c_q/2
+        log_fwd, _ = _mp_log_cell_moments((top - delta) / sigma, top / sigma)
+        return float(mp.log(delta / sigma) - log_fwd)
+
+
 def mp_log_level_probs(x, sigma, k, c_q, dps=60):
     """Natural-log level masses of quantize(x + N(0, sigma^2)), as mpmath numbers.
 

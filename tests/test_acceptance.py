@@ -19,7 +19,7 @@ from qdp.accountant import (
     renyi_divergence,
 )
 from qdp.cli import main as cli_main
-from qdp.flsim import FlRunConfig, SyntheticTaskSpec, train, write_run_artifact
+from qdp.flsim import FlRunConfig, train, write_run_artifact
 from qdp.lira import AttackConfig, audit_run
 from qdp.pmf import LevelPmf, NoiseSpec, quantized_gaussian_pmf
 from qdp.quantizer import QuantizerSpec, stochastic_round
@@ -36,10 +36,6 @@ def _report(number: int, description: str, ok: bool) -> None:
     assert ok, f"criterion {number} failed: {description}"
 
 
-def _mia_task():
-    return SyntheticTaskSpec(dimension=20, samples_per_client=8, margin=1.5)
-
-
 def _mia_config(seed, sigma, k):
     return FlRunConfig(
         n_clients_total=8,
@@ -52,7 +48,9 @@ def _mia_config(seed, sigma, k):
         sigma=sigma,
         k=k,
         seed=seed,
-        task=_mia_task(),
+        dimension=20,
+        samples_per_client=8,
+        margin=1.5,
     )
 
 
@@ -220,7 +218,9 @@ def test_criterion_7_fl_smoke(tmp_path):
         sigma=0.0,
         k=None,
         seed=0,
-        task=SyntheticTaskSpec(dimension=20, samples_per_client=8, margin=5.0),
+        dimension=20,
+        samples_per_client=8,
+        margin=5.0,
     )
     started = time.perf_counter()
     result = train(config)

@@ -24,6 +24,7 @@ from qdp.quantizer import QuantizerSpec
 
 from oracles import (
     kl_sum,
+    mp_epsilon_infinity,
     mp_log_level_probs,
     mp_renyi_divergence,
     quad_partial_first_moment,
@@ -194,6 +195,45 @@ class TestSmallSigmaBudgets:
         log_p = mp_log_level_probs(0.5, sigma, k, 1.0)
         want = mp_renyi_divergence(log_p, log_p[::-1], 1.0)
         assert epsilon_one(mech(sigma, k)) == pytest.approx(want, rel=1e-10, abs=0)
+
+
+class TestExtremeNoiseBudgets:
+    """Budgets where c_q/sigma leaves the comfortable float range: accurate,
+    or a ValueError naming the mechanism, never a silent inf or nan."""
+
+    @pytest.mark.parametrize("sigma", [1e156, 1e158, 1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("k", [2, 16, 1024])
+    def test_large_sigma_epsilon_infinity_matches_oracle(self, sigma, k):
+        # the top cell's squared width underflows from sigma ~ 1e154
+        want = mp_epsilon_infinity(k, 1.0, sigma)
+        assert epsilon_infinity(mech(sigma, k)) == pytest.approx(want, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize(
+        "k,sigma,want",
+        [(2, 1e160, 369.332553412252), (2, 1e200, 461.435957132014), (16, 1e300, 694.402516632521)],
+    )
+    def test_large_sigma_references(self, k, sigma, want):
+        assert epsilon_infinity(mech(sigma, k)) == pytest.approx(want, rel=1e-12)
+        assert mp_epsilon_infinity(k, 1.0, sigma) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-300])
+    def test_two_levels_at_tiny_sigma(self, sigma):
+        # the noise never moves the input across 0: a deterministic coin of 3:1
+        assert epsilon_one(mech(sigma, 2)) == pytest.approx(0.5 * math.log(3.0), rel=1e-12)
+        assert epsilon_infinity(mech(sigma, 2)) == pytest.approx(math.log(4.0), rel=1e-12)
+
+    @pytest.mark.parametrize("budget", [epsilon_one, epsilon_infinity])
+    @pytest.mark.parametrize("k,sigma", [(3, 1e-155), (16, 1e-160), (1024, 1e-300)])
+    def test_budget_beyond_largest_float_raises(self, budget, k, sigma):
+        with pytest.raises(ValueError, match=rf"k={k}.*exceeds the largest float"):
+            budget(mech(sigma, k))
+
+    @pytest.mark.parametrize(
+        "k,c_q,sigma", [(2, 1e300, 1e-10), (16, 1e300, 1e-10), (2, 1e-300, 1e10)]
+    )
+    def test_lattice_out_of_float_range_raises(self, k, c_q, sigma):
+        with pytest.raises(ValueError, match=r"out of float range in noise units"):
+            mech(sigma, k, c_q)
 
 
 class TestLogSpaceDivergence:

@@ -14,7 +14,6 @@ from qdp.cli import main, parse_config
 from qdp.flsim import (
     FlRunConfig,
     RunResult,
-    SyntheticTaskSpec,
     config_as_flat_mapping,
     config_from_flat_mapping,
     write_run_artifact,
@@ -57,6 +56,29 @@ class TestBudget:
         assert code == 0
         assert err == ""
         assert math.isfinite(float(out))
+
+    def test_large_sigma_prints_accurate_bound(self, capsys):
+        code, out, _ = run(
+            capsys, "budget", "--k", "2", "--cq", "1", "--sigma", "1e200", "--alpha", "inf"
+        )
+        assert code == 0
+        assert out == "461.435957132\n"
+
+    @pytest.mark.parametrize("alpha", ["1", "inf"])
+    @pytest.mark.parametrize(
+        "k,cq,sigma,reason",
+        [
+            ("16", "1", "1e-160", "exceeds the largest float"),
+            ("2", "1e300", "1e-10", "out of float range"),
+        ],
+    )
+    def test_out_of_float_range_is_runtime_failure(self, capsys, alpha, k, cq, sigma, reason):
+        code, out, err = run(
+            capsys, "budget", "--k", k, "--cq", cq, "--sigma", sigma, "--alpha", alpha
+        )
+        assert code == 1
+        assert out == ""
+        assert reason in err
 
     def test_missing_k_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -295,12 +317,6 @@ finite = dict(allow_nan=False, allow_infinity=False)
 @st.composite
 def fl_configs(draw):
     n_total = draw(st.integers(1, 1000))
-    task = SyntheticTaskSpec(
-        dimension=draw(st.integers(1, 500)),
-        samples_per_client=draw(st.integers(1, 500)),
-        margin=draw(st.floats(min_value=0.0, **finite)),
-        test_samples=draw(st.integers(1, 10**6)),
-    )
     return FlRunConfig(
         n_clients_total=n_total,
         n_sampled=draw(st.integers(1, n_total)),
@@ -312,7 +328,10 @@ def fl_configs(draw):
         sigma=draw(st.floats(min_value=0.0, **finite)),
         k=draw(st.none() | st.integers(2, 10**6)),
         seed=draw(st.integers(0, 2**63)),
-        task=task,
+        dimension=draw(st.integers(1, 500)),
+        samples_per_client=draw(st.integers(1, 500)),
+        margin=draw(st.floats(min_value=0.0, **finite)),
+        test_samples=draw(st.integers(1, 10**6)),
     )
 
 
@@ -336,7 +355,7 @@ class TestConfigSchema:
     def test_written_configs_parse_back(self, fl_config, attack_config):
         # the run directory's config file and the report's config echo are
         # both read back through the CLI's config-file parser
-        weights = np.zeros(fl_config.task.dimension + 1)
+        weights = np.zeros(fl_config.dimension + 1)
         report = AttackReport(scores={}, accuracy=0.5, roc_points=[(0.0, 0.0)])
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
@@ -350,6 +369,11 @@ class TestConfigSchema:
             mapping = parse_config(out / "echo.conf")
         assert config_from_flat_mapping(FlRunConfig, mapping) == fl_config
         assert config_from_flat_mapping(AttackConfig, mapping) == attack_config
+
+    def test_run_config_keys_are_the_config_file_keys_in_order(self):
+        mapping = parse_config(CONFIGS / "fl_smoke.conf")
+        config = config_from_flat_mapping(FlRunConfig, mapping)
+        assert list(config_as_flat_mapping(config)) == list(mapping)
 
     def test_none_parses_in_any_case(self):
         for text in ("None", "NONE"):

@@ -5,7 +5,6 @@ from scipy.special import expit
 from qdp import flsim
 from qdp.flsim import (
     FlRunConfig,
-    SyntheticTaskSpec,
     aggregate,
     config_from_flat_mapping,
     evaluate,
@@ -36,7 +35,10 @@ def make_config(**overrides):
         sigma=0.0,
         k=None,
         seed=0,
-        task=SyntheticTaskSpec(dimension=5, samples_per_client=8, margin=2.0, test_samples=500),
+        dimension=5,
+        samples_per_client=8,
+        margin=2.0,
+        test_samples=500,
     )
     defaults.update(overrides)
     return FlRunConfig(**defaults)
@@ -63,18 +65,16 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_nonfinite_margin(self, value):
         with pytest.raises(ValueError, match="margin must be finite"):
-            SyntheticTaskSpec(margin=value)
+            make_config(margin=value)
 
     def test_rejects_empty_shards(self):
         with pytest.raises(ValueError, match="samples_per_client"):
-            SyntheticTaskSpec(samples_per_client=0)
+            make_config(samples_per_client=0)
 
-    @pytest.mark.parametrize(
-        "build, name, value", [(SyntheticTaskSpec, "test_samples", 0), (make_config, "seed", -1)]
-    )
-    def test_message_names_bad_value(self, build, name, value):
+    @pytest.mark.parametrize("name, value", [("test_samples", 0), ("seed", -1)])
+    def test_message_names_bad_value(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must .*, got {value}$"):
-            build(**{name: value})
+            make_config(**{name: value})
 
 
 class TestTaskData:
@@ -88,8 +88,7 @@ class TestTaskData:
         np.testing.assert_array_equal(shards[2][0], shards2[2][0])
 
     def test_margin_separates_class_means(self):
-        task = SyntheticTaskSpec(dimension=3, samples_per_client=1, margin=3.0, test_samples=1)
-        x, y = sample_mixture(philox(1), 20_000, task)
+        x, y = sample_mixture(philox(1), 20_000, make_config(dimension=3, margin=3.0))
         gap = x[y == 1, 0].mean() - x[y == 0, 0].mean()
         assert gap == pytest.approx(3.0, abs=0.1)
 
@@ -114,7 +113,7 @@ class TestLocalUpdate:
 
     def test_leaves_start_weights_unchanged(self):
         start = np.zeros(3)
-        x, y = sample_mixture(philox(5), 8, SyntheticTaskSpec(dimension=2))
+        x, y = sample_mixture(philox(5), 8, make_config(dimension=2))
         out = sgd(start, x, y, 3, 0.5, 4, philox(6))
         np.testing.assert_array_equal(start, np.zeros(3))
         assert np.any(out != 0)
@@ -125,8 +124,7 @@ class TestLocalUpdate:
 
     def test_converges_on_separable_task(self):
         # reference: an independent full-batch gradient-descent loop
-        task = SyntheticTaskSpec(dimension=2, samples_per_client=40, margin=4.0, test_samples=1)
-        x, y = sample_mixture(philox(3), 40, task)
+        x, y = sample_mixture(philox(3), 40, make_config(dimension=2, margin=4.0))
         out = sgd(np.zeros(3), x, y, 200, 0.5, 40, philox(4))
 
         w_ref = np.zeros(3)
@@ -185,7 +183,7 @@ class TestPrivatizeDelta:
         # at d = 20, sigma = 0.5 the noisy update almost always leaves the L2
         # ball of radius c_q; each coordinate must still follow the scalar pmf
         spec = QuantizerSpec(k=16, c_q=1.0)
-        config = make_config(sigma=0.5, k=16, c_q=1.0, task=SyntheticTaskSpec(dimension=20))
+        config = make_config(sigma=0.5, k=16, c_q=1.0, dimension=20)
         delta = np.zeros(21)
         delta[0], delta[-1] = 0.3, -0.2
         rng = philox(5)
@@ -237,7 +235,9 @@ class TestTrain:
             rounds=30,
             local_steps=10,
             batch_size=8,
-            task=SyntheticTaskSpec(dimension=20, samples_per_client=8, margin=5.0),
+            dimension=20,
+            margin=5.0,
+            test_samples=2000,
         )
         result = train(config)
         assert result.metrics[-1][1] >= 0.95
@@ -252,7 +252,9 @@ class TestTrain:
             learning_rate=0.3,
             batch_size=10**9,
             c_q=1e9,
-            task=SyntheticTaskSpec(dimension=3, samples_per_client=12, margin=2.0),
+            dimension=3,
+            samples_per_client=12,
+            test_samples=2000,
         )
         result = train(config)
         shards, _ = make_task_data(config)
@@ -326,7 +328,6 @@ class TestUtilityTrend:
     @pytest.mark.slow
     def test_coarser_quantization_costs_accuracy(self):
         # trend direction with 0.02 slack, mean over 5 seeds at fixed sigma > 0
-        task = SyntheticTaskSpec(dimension=20, samples_per_client=8, margin=1.5)
         def final_acc(k, seed):
             config = make_config(
                 n_clients_total=8,
@@ -336,7 +337,9 @@ class TestUtilityTrend:
                 sigma=0.02,
                 k=k,
                 seed=seed,
-                task=task,
+                dimension=20,
+                margin=1.5,
+                test_samples=2000,
             )
             return train(config).metrics[-1][1]
 

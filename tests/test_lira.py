@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qdp import flsim, lira
 from qdp.flsim import (
     FlRunConfig,
-    SyntheticTaskSpec,
     cross_entropy_losses,
     make_task_data,
     sample_mixture,
@@ -32,9 +31,8 @@ def philox(*key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def leak_config(seed, sigma=0.0, k=None, **task_overrides):
-    task = dict(dimension=20, samples_per_client=8, margin=1.5)
-    task.update(task_overrides)
+def leak_config(seed, sigma=0.0, k=None, **task):
+    # the task settings default to d = 20, 8 samples per client, margin 1.5
     return FlRunConfig(
         n_clients_total=8,
         n_sampled=8,
@@ -46,7 +44,7 @@ def leak_config(seed, sigma=0.0, k=None, **task_overrides):
         sigma=sigma,
         k=k,
         seed=seed,
-        task=SyntheticTaskSpec(**task),
+        **task,
     )
 
 
@@ -192,7 +190,7 @@ class TestAuditRun:
         config = leak_config(1)
         attack = AttackConfig(audit_size=32)
         report = audit_run(config, attack)
-        n_train = config.n_clients_total * config.task.samples_per_client
+        n_train = config.n_clients_total * config.samples_per_client
         ids = sorted(report.scores)
         members = [i for i in ids if i < n_train]
         nonmembers = [i for i in ids if i >= n_train]
@@ -235,7 +233,7 @@ class TestAuditRun:
         member_ids = np.sort(member_rng.choice(n_train, size=half, replace=False))
         assert sorted(audit_run(config, attack).scores)[:half] == member_ids.tolist()
         nonmember_rng = flsim._stream(config.seed, lira._NONMEMBER_STREAM)
-        nonmember_x, _ = sample_mixture(nonmember_rng, half, config.task)
+        nonmember_x, _ = sample_mixture(nonmember_rng, half, config)
 
         def rows(x):
             return {row.tobytes() for row in x}
@@ -243,7 +241,7 @@ class TestAuditRun:
         audit_rows = rows(train_x[member_ids]) | rows(nonmember_x)
         for m in range(attack.m_shadows):
             shadow_rng = flsim._stream(config.seed, lira._SHADOW_STREAM, m)
-            shadow_x, _ = sample_mixture(shadow_rng, n_train, config.task)
+            shadow_x, _ = sample_mixture(shadow_rng, n_train, config)
             assert rows(shadow_x).isdisjoint(audit_rows)
         assert rows(nonmember_x).isdisjoint(rows(train_x))
 
