@@ -10,13 +10,13 @@ the distribution collapse onto the two-point stochastic-rounding rule.
 
 import numpy as np
 
-from qdp import NoiseSpec, QuantizerSpec, quantize, quantized_gaussian_pmf
+from qdp import MechanismSpec, NoiseSpec, QuantizerSpec, quantize, quantized_gaussian_pmf
 
 X, SIGMA, K, C_Q = 0.3, 0.5, 8, 1.0
 N = 1_000_000
 
 spec = QuantizerSpec(k=K, c_q=C_Q)
-pmf = quantized_gaussian_pmf(X, NoiseSpec(SIGMA), spec)
+pmf = quantized_gaussian_pmf(X, MechanismSpec(NoiseSpec(SIGMA), spec))
 
 rng = np.random.Generator(np.random.Philox(8))
 samples = quantize(X + SIGMA * rng.standard_normal(N), spec, rng)
@@ -32,7 +32,7 @@ print(f"total probability: {pmf.probs.sum():.12f}")
 # with sigma -> 0 the noise stage disappears and only the stochastic
 # rounding of x itself remains: x = 0.3 sits between levels 0.1428 and
 # 0.4286, so those two levels share the mass by proximity
-tiny = quantized_gaussian_pmf(X, NoiseSpec(1e-6), spec)
+tiny = quantized_gaussian_pmf(X, MechanismSpec(NoiseSpec(1e-6), spec))
 print("\nsigma = 1e-6:")
 for level, p in zip(tiny.levels, tiny.probs):
     if p > 1e-12:

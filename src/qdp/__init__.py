@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .accountant import (
     DpPoint,
-    MechanismSpec,
     RdpPoint,
     SweepRow,
     budget_sweep,
@@ -24,14 +23,13 @@ from .accountant import (
 )
 from .flsim import FlRunConfig, RunResult, train
 from .lira import AttackConfig, AttackReport, audit_run
-from .pmf import LevelPmf, NoiseSpec, quantized_gaussian_pmf
-from .quantizer import QuantizerSpec, clip_vector, quantize, stochastic_round
+from .pmf import LevelPmf, MechanismSpec, NoiseSpec, quantized_gaussian_pmf
+from .quantizer import QuantizerSpec, clip_vector, quantize
 
 __all__ = [
     "__version__",
     "QuantizerSpec",
     "clip_vector",
-    "stochastic_round",
     "quantize",
     "NoiseSpec",
     "LevelPmf",

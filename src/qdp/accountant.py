@@ -11,19 +11,17 @@ calibration complete a small accounting toolkit. Epsilons are in nats.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .pmf import LevelPmf, NoiseSpec, log_cell_moments, quantized_gaussian_pmf
+from .pmf import LevelPmf, MechanismSpec, NoiseSpec, log_cell_moments, quantized_gaussian_pmf
 from .quantizer import QuantizerSpec
 
 __all__ = [
     "RdpPoint",
     "DpPoint",
-    "MechanismSpec",
     "SweepRow",
     "renyi_divergence",
     "epsilon_one",
@@ -65,28 +63,6 @@ class DpPoint:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-
-@dataclass(frozen=True)
-class MechanismSpec:
-    """Quantized Gaussian mechanism: noise scale and lattice.
-
-    The scalar worst case puts the two neighboring inputs at +-c_q/2, so the
-    sensitivity is c_q, the same convention the Gaussian baseline uses.
-    """
-
-    noise: NoiseSpec
-    quant: QuantizerSpec
-
-    def __post_init__(self):
-        # the budgets are evaluated on the lattice in noise units
-        sigma = self.noise.sigma
-        spacing, span = self.quant.delta / sigma, 2.0 * self.quant.c_q / sigma
-        if not (spacing >= sys.float_info.min and span < math.inf):
-            raise ValueError(
-                f"{self!r} is out of float range in noise units: "
-                f"delta/sigma = {spacing:g}, 2*c_q/sigma = {span:g}"
-            )
 
 
 def _finite(budget: float, mech: MechanismSpec) -> float:
@@ -131,7 +107,7 @@ def epsilon_one(mech: MechanismSpec) -> float:
     """alpha = 1 budget: KL divergence between the extremal-input pmfs; the
     pmf at -c_q/2 is the mirror image of the one at +c_q/2. Raises where
     the budget exceeds the largest float."""
-    log_p = quantized_gaussian_pmf(mech.quant.c_q / 2.0, mech.noise, mech.quant).log_probs
+    log_p = quantized_gaussian_pmf(mech.quant.c_q / 2.0, mech).log_probs
     return _finite(_divergence(log_p, log_p[::-1], 1.0), mech)
 
 
@@ -161,8 +137,6 @@ def gaussian_rdp_baseline(sensitivity: float, sigma: float, alpha: float) -> Rdp
         raise ValueError(f"sensitivity must be nonnegative, got {sensitivity}")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if not alpha >= 1:
-        raise ValueError(f"Renyi order must be >= 1, got {alpha}")
     if alpha == math.inf:
         return RdpPoint(alpha=math.inf, epsilon=math.inf)
     return RdpPoint(alpha=alpha, epsilon=alpha * sensitivity**2 / (2.0 * sigma**2))

@@ -1,8 +1,10 @@
 """Command-line front end: budget queries, sweeps, training runs, audits.
 
 Exit codes: 0 success, 2 usage error (argparse), 1 runtime failure. Every
-command is deterministic under --seed; commands that create an output
-directory drop a manifest.json recording how it was produced.
+command is deterministic: ``budget`` and ``sweep`` draw nothing at random and
+take no seed; ``fl-train`` and ``mia`` take --seed, else the config's seed.
+Commands that create an output directory drop a manifest.json recording how
+it was produced.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ def _write_manifest(command: str, config_path: str, seed: int, out_dir: Path) ->
         "command": command,
         "config_path": config_path,
         "seed": seed,
-        "output_dir": str(out_dir),
         "tool_version": __version__,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

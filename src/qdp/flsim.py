@@ -52,6 +52,8 @@ _CLIENT_STREAM = 2
 
 
 def _stream(*key: int) -> np.random.Generator:
+    # SeedSequence reads a missing trailing key word as 0: keys that differ
+    # only by trailing zeros, such as (s, t) and (s, t, 0), share one stream.
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 

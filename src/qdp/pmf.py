@@ -1,14 +1,17 @@
 """Exact output distribution of the quantized Gaussian mechanism.
 
 Adding N(0, sigma^2) noise to a scalar and stochastically quantizing the
-result produces a discrete distribution over the k lattice levels. This
-module evaluates its log masses from log-space moments of Gaussian cells,
-so masses far in the tails stay finite; numeric quadrature is never used
-(the test suite keeps it as an independent oracle).
+result produces a discrete distribution over the k lattice levels; a
+``MechanismSpec`` names the noise and lattice. This module evaluates the
+log masses from log-space moments of Gaussian cells, so masses far in the
+tails stay finite; numeric quadrature is never used (the test suite keeps
+it as an independent oracle).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,7 @@ from .quantizer import QuantizerSpec
 
 __all__ = [
     "NoiseSpec",
+    "MechanismSpec",
     "LevelPmf",
     "log_cell_moments",
     "quantized_gaussian_pmf",
@@ -39,6 +43,28 @@ class NoiseSpec:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError(f"noise standard deviation must be positive, got {self.sigma}")
+
+
+@dataclass(frozen=True)
+class MechanismSpec:
+    """Quantized Gaussian mechanism: noise scale and lattice.
+
+    The scalar worst case puts the two neighboring inputs at +-c_q/2, so the
+    sensitivity is c_q, the same convention the Gaussian baseline uses.
+    """
+
+    noise: NoiseSpec
+    quant: QuantizerSpec
+
+    def __post_init__(self):
+        # the pmf and the budgets are evaluated on the lattice in noise units
+        sigma = self.noise.sigma
+        spacing, span = self.quant.delta / sigma, 2.0 * self.quant.c_q / sigma
+        if not (spacing >= sys.float_info.min and span < math.inf):
+            raise ValueError(
+                f"{self!r} is out of float range in noise units: "
+                f"delta/sigma = {spacing:g}, 2*c_q/sigma = {span:g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -140,25 +166,26 @@ def log_cell_moments(lo, hi):
     return np.where(below, log_rev, log_fwd), np.where(below, log_fwd, log_rev)
 
 
-def quantized_gaussian_pmf(x: float, noise: NoiseSpec, spec: QuantizerSpec) -> LevelPmf:
+def quantized_gaussian_pmf(x: float, mech: MechanismSpec) -> LevelPmf:
     """Distribution of quantize(x + N(0, sigma^2)) over the lattice levels.
 
     The input must lie in [-c_q/2, +c_q/2], the range the privacy analysis
     needs. Every term stays in log space, so each log mass is finite and
     accurate even where the mass itself underflows.
     """
+    spec, sigma = mech.quant, mech.noise.sigma
     half = spec.c_q / 2.0
     if not -half <= x <= half:
         raise ValueError(
             f"input {x} outside the admissible interval [{-half}, {half}] "
             f"(inputs must be pre-clipped to c_q/2)"
         )
-    z = (spec.levels() - x) / noise.sigma
+    z = (spec.levels() - x) / sigma
     log_fwd, log_rev = log_cell_moments(z[:-1], z[1:])
     # level r takes the mass rounded up from cell r - 1 and down from cell r,
     # and the end levels also take the noise clipped past them
     log_probs = np.append(-np.inf, log_fwd)
     log_probs[:-1] = np.logaddexp(log_probs[:-1], log_rev)
-    log_probs -= np.log(spec.delta / noise.sigma)
+    log_probs -= np.log(spec.delta / sigma)
     log_probs[[0, -1]] = np.logaddexp(log_probs[[0, -1]], special.log_ndtr([z[0], -z[-1]]))
     return LevelPmf(spec, log_probs)

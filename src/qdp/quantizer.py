@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuantizerSpec", "clip_vector", "stochastic_round", "quantize"]
+__all__ = ["QuantizerSpec", "clip_vector", "quantize"]
 
 
 @dataclass(frozen=True)
@@ -64,36 +64,24 @@ def clip_vector(w, radius: float) -> np.ndarray:
     return w * (radius / norm)
 
 
-def stochastic_round(values, spec: QuantizerSpec, rng: np.random.Generator) -> np.ndarray:
-    """Round already-in-range values elementwise onto the lattice.
-
-    A value lying in [B(r), B(r+1)] maps to B(r+1) with probability
-    (v - B(r))/delta and to B(r) otherwise; values exactly on a lattice point
-    map there deterministically. Each element consumes exactly one uniform
-    draw from ``rng``, in element order, so results are reproducible
-    regardless of how the work is scheduled. Shape-agnostic, which makes
-    batches of independent mechanism draws cheap.
-    """
-    v = np.asarray(values, dtype=float)
-    if np.any(np.abs(v) > spec.c_q * (1 + 1e-12)):
-        raise ValueError(f"values exceed the lattice range [-{spec.c_q}, {spec.c_q}]; clip first")
-    # Bracket index: clamped floor keeps values at +c_q in the top cell.
-    r = np.clip(np.floor((v + spec.c_q) / spec.delta), 0, spec.k - 2)
-    lo = spec.level(r)
-    hi = spec.level(r + 1)
-    frac = np.where(v == hi, 1.0, (v - lo) / spec.delta)
-    u = rng.random(size=v.shape)
-    return np.where(u < frac, hi, lo)
-
-
 def quantize(w, spec: QuantizerSpec, rng: np.random.Generator) -> np.ndarray:
     """Clamp each coordinate to [-c_q, c_q], then stochastically round.
 
+    A clamped value in [B(r), B(r+1)] maps to B(r+1) with probability
+    (v - B(r))/delta and to B(r) otherwise, so lattice points map to
+    themselves and in-range coordinates match the input in expectation.
+    Each element consumes exactly one uniform draw from ``rng``, in element
+    order, so results are reproducible however the work is scheduled.
+    Shape-agnostic, which makes batches of independent mechanism draws cheap.
     Applied to a noisy input this is, coordinate by coordinate, the
     mechanism whose level pmf ``pmf.quantized_gaussian_pmf`` computes.
-    In-range coordinates match the input in expectation.
     """
     w = np.asarray(w, dtype=float)
     if not np.isfinite(w).all():
         raise ValueError("cannot quantize a vector with non-finite entries")
-    return stochastic_round(np.clip(w, -spec.c_q, spec.c_q), spec, rng)
+    v = np.clip(w, -spec.c_q, spec.c_q)
+    # Bracket index: clamped floor keeps values at +c_q in the top cell.
+    r = np.clip(np.floor((v + spec.c_q) / spec.delta), 0, spec.k - 2)
+    lo, hi = spec.level(r), spec.level(r + 1)
+    frac = np.where(v == hi, 1.0, (v - lo) / spec.delta)
+    return np.where(rng.random(size=v.shape) < frac, hi, lo)

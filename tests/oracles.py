@@ -145,6 +145,26 @@ def monte_carlo_quantized_gaussian(x, sigma, k, c_q, n_samples, seed):
     return counts / n_samples
 
 
+def stochastic_round(values, spec, rng):
+    """Round already-in-range values elementwise onto the lattice of ``spec``.
+
+    A value in [B(r), B(r+1)] maps to B(r+1) with probability
+    (v - B(r))/delta and to B(r) otherwise, one uniform draw per element in
+    element order: the library's rounding as a standalone step, kept as the
+    reference that ``qdp.quantizer.quantize`` must reproduce after its clamp.
+    """
+    v = np.asarray(values, dtype=float)
+    if np.any(np.abs(v) > spec.c_q * (1 + 1e-12)):
+        raise ValueError(f"values exceed the lattice range [-{spec.c_q}, {spec.c_q}]; clip first")
+    # Bracket index: clamped floor keeps values at +c_q in the top cell.
+    r = np.clip(np.floor((v + spec.c_q) / spec.delta), 0, spec.k - 2)
+    lo = spec.level(r)
+    hi = spec.level(r + 1)
+    frac = np.where(v == hi, 1.0, (v - lo) / spec.delta)
+    u = rng.random(size=v.shape)
+    return np.where(u < frac, hi, lo)
+
+
 def threshold_sweep_attack_accuracy(scores, is_member):
     """Best balanced accuracy and ROC of `score >= threshold` rules, by brute force.
 

@@ -22,7 +22,7 @@ from qdp.cli import main as cli_main
 from qdp.flsim import FlRunConfig, train, write_run_artifact
 from qdp.lira import AttackConfig, audit_run
 from qdp.pmf import LevelPmf, NoiseSpec, quantized_gaussian_pmf
-from qdp.quantizer import QuantizerSpec, stochastic_round
+from qdp.quantizer import QuantizerSpec, quantize
 
 from oracles import kl_sum, monte_carlo_quantized_gaussian, quad_pmf
 
@@ -121,7 +121,8 @@ def test_criterion_3_pmf_monte_carlo_equivalence():
         for sigma in (0.5, 1.0, 2.0):
             for k in (2, 5, 16):
                 cell += 1
-                pmf = quantized_gaussian_pmf(x, NoiseSpec(sigma), QuantizerSpec(k=k, c_q=1.0))
+                mech = MechanismSpec(noise=NoiseSpec(sigma), quant=QuantizerSpec(k=k, c_q=1.0))
+                pmf = quantized_gaussian_pmf(x, mech)
                 ok = ok and abs(pmf.probs.sum() - 1.0) < 1e-9
                 n = 1_000_000
                 empirical = monte_carlo_quantized_gaussian(x, sigma, k, 1.0, n, seed=cell)
@@ -134,9 +135,8 @@ def test_criterion_3_pmf_monte_carlo_equivalence():
 
 def _grid_pmfs(sigma, k, c_q=1.0):
     grid = np.linspace(-c_q / 2.0, c_q / 2.0, 21)
-    noise = NoiseSpec(sigma)
-    quant = QuantizerSpec(k=k, c_q=c_q)
-    return grid, [quantized_gaussian_pmf(x, noise, quant) for x in grid]
+    mech = MechanismSpec(noise=NoiseSpec(sigma), quant=QuantizerSpec(k=k, c_q=c_q))
+    return grid, [quantized_gaussian_pmf(x, mech) for x in grid]
 
 
 def test_criterion_4_post_processing_bound():
@@ -195,7 +195,7 @@ def test_criterion_6_quantizer_unbiasedness():
         w = direction / np.linalg.norm(direction) * spec.c_q * rng.uniform(0.0, 1.0)
         # the quantizer is elementwise and these inputs are in range, so a
         # (draws, 6) tile gives independent mechanism samples
-        samples = stochastic_round(np.tile(w, (draws, 1)), spec, rng)
+        samples = quantize(np.tile(w, (draws, 1)), spec, rng)
         mean = samples.mean(axis=0)
         r = np.clip(np.floor((w + spec.c_q) / spec.delta), 0, spec.k - 2)
         lo, hi = spec.level(r), spec.level(r + 1)

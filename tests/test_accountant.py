@@ -134,8 +134,8 @@ class TestEpsilonInfinity:
         # at k = 8, sigma = 0.01 it is 7146.3 against 7386.3
         for sigma, k in [(0.5, 2), (1.0, 2), (1.0, 4), (1.0, 16), (2.0, 8), (0.01, 2), (0.01, 8)]:
             m = mech(sigma, k)
-            p = quantized_gaussian_pmf(0.5, m.noise, m.quant)
-            q = quantized_gaussian_pmf(-0.5, m.noise, m.quant)
+            p = quantized_gaussian_pmf(0.5, m)
+            q = quantized_gaussian_pmf(-0.5, m)
             d_inf = renyi_divergence(p, q, math.inf)
             assert epsilon_one(m) <= d_inf + 1e-12
             assert d_inf <= epsilon_infinity(m) + 1e-12
@@ -257,9 +257,9 @@ class TestLogSpaceDivergence:
         ],
     )
     def test_matches_high_precision_reference(self, k, x, x_prime, alpha, want):
-        noise, quant = NoiseSpec(0.01), QuantizerSpec(k=k, c_q=1.0)
-        p = quantized_gaussian_pmf(x, noise, quant)
-        q = quantized_gaussian_pmf(x_prime, noise, quant)
+        m = mech(0.01, k)
+        p = quantized_gaussian_pmf(x, m)
+        q = quantized_gaussian_pmf(x_prime, m)
         assert renyi_divergence(p, q, alpha) == pytest.approx(want, rel=1e-12)
         oracle = mp_renyi_divergence(
             mp_log_level_probs(x, 0.01, k, 1.0), mp_log_level_probs(x_prime, 0.01, k, 1.0), alpha
@@ -269,8 +269,8 @@ class TestLogSpaceDivergence:
     @pytest.mark.parametrize("sigma,k", [(0.01, 8), (1.0, 8), (1.0, 2), (30.0, 1024)])
     def test_epsilon_one_is_the_order_one_divergence(self, sigma, k):
         m = mech(sigma, k)
-        p = quantized_gaussian_pmf(0.5, m.noise, m.quant)
-        mirror = quantized_gaussian_pmf(-0.5, m.noise, m.quant)
+        p = quantized_gaussian_pmf(0.5, m)
+        mirror = quantized_gaussian_pmf(-0.5, m)
         assert renyi_divergence(p, mirror, 1.0) == epsilon_one(m)
 
 
@@ -414,10 +414,9 @@ class TestDivergenceBounds:
 
     @pytest.mark.parametrize("sigma,k", [(1.0, 6), (0.5, 3)])
     def test_gaussian_post_processing_bound(self, sigma, k):
-        quant = QuantizerSpec(k=k, c_q=1.0)
-        noise = NoiseSpec(sigma)
+        m = mech(sigma, k)
         grid = np.linspace(-0.5, 0.5, 11)
-        pmfs = [quantized_gaussian_pmf(x, noise, quant) for x in grid]
+        pmfs = [quantized_gaussian_pmf(x, m) for x in grid]
         for alpha in (1.0, 2.0, 8.0):
             for i, x in enumerate(grid):
                 for j, x_prime in enumerate(grid):
@@ -427,7 +426,7 @@ class TestDivergenceBounds:
     def test_extremal_inputs_maximize_divergence(self):
         m = mech(1.0, 4)
         grid = np.linspace(-0.5, 0.5, 11)
-        pmfs = [quantized_gaussian_pmf(x, m.noise, m.quant) for x in grid]
+        pmfs = [quantized_gaussian_pmf(x, m) for x in grid]
         eps1 = epsilon_one(m)
         eps_inf = epsilon_infinity(m)
         for p in pmfs:
@@ -446,8 +445,8 @@ class TestDivergenceBounds:
     def test_extremal_pair_is_the_worst_case(self, k, sigma, x, x_prime, alpha):
         # the budgets assume no input pair in [-c_q/2, c_q/2] is further
         # apart, at any order, than +-c_q/2
-        noise, quant = NoiseSpec(sigma), QuantizerSpec(k=k, c_q=1.0)
-        pmf = lambda v: quantized_gaussian_pmf(v, noise, quant)
+        m = mech(sigma, k)
+        pmf = lambda v: quantized_gaussian_pmf(v, m)
         d = renyi_divergence(pmf(x), pmf(x_prime), alpha)
         worst = renyi_divergence(pmf(0.5), pmf(-0.5), alpha)
         assert math.isfinite(d)
@@ -455,12 +454,11 @@ class TestDivergenceBounds:
 
     def test_order_monotonicity_on_mechanism_pmfs(self):
         rng = np.random.default_rng(11)
-        noise = NoiseSpec(0.6)
-        quant = QuantizerSpec(k=5, c_q=1.0)
+        m = mech(0.6, 5)
         for _ in range(30):
             x, x_prime = rng.uniform(-0.5, 0.5, size=2)
-            p = quantized_gaussian_pmf(x, noise, quant)
-            q = quantized_gaussian_pmf(x_prime, noise, quant)
+            p = quantized_gaussian_pmf(x, m)
+            q = quantized_gaussian_pmf(x_prime, m)
             values = [renyi_divergence(p, q, a) for a in ALPHAS]
             for lo, hi in zip(values, values[1:]):
                 assert lo <= hi + 1e-12

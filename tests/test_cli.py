@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdp import __version__
 from qdp.accountant import MechanismSpec, epsilon_infinity, epsilon_one
 from qdp.cli import main, parse_config
 from qdp.flsim import (
@@ -161,8 +162,12 @@ class TestFlTrain:
         rows = (out_dir / "metrics.csv").read_text().splitlines()
         assert len(rows) == 1 + 30
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["command"] == "fl-train"
-        assert manifest["seed"] == 0
+        assert manifest == {
+            "command": "fl-train",
+            "config_path": str(CONFIGS / "fl_smoke.conf"),
+            "seed": 0,
+            "tool_version": __version__,
+        }
         model = json.loads((out_dir / "model.json").read_text())
         assert len(model["weights"]) == 21
 
@@ -246,7 +251,8 @@ class TestMia:
         payload = json.loads((out_dir / "report.json").read_text())
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert len(payload["scores"]) == 64
-        assert (out_dir / "manifest.json").exists()
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert set(manifest) == {"command", "config_path", "seed", "tool_version"}
 
     def test_single_shadow_rejected(self, capsys, tmp_path, quick_config):
         text = quick_config.read_text().replace("m_shadows = 4", "m_shadows = 1")

@@ -15,7 +15,7 @@ from qdp.flsim import (
     train,
     write_run_artifact,
 )
-from qdp.pmf import NoiseSpec, quantized_gaussian_pmf
+from qdp.pmf import MechanismSpec, NoiseSpec, quantized_gaussian_pmf
 from qdp.quantizer import QuantizerSpec, clip_vector, quantize
 
 
@@ -174,7 +174,7 @@ class TestPrivatizeDelta:
         rng = philox(3)
         noisy = 0.3 + 0.5 * rng.standard_normal(n)
         rounded = quantize(noisy, spec, rng)
-        pmf = quantized_gaussian_pmf(0.3, NoiseSpec(0.5), spec)
+        pmf = quantized_gaussian_pmf(0.3, MechanismSpec(NoiseSpec(0.5), spec))
         counts = np.array([(rounded == lv).sum() for lv in pmf.levels]) / n
         se = np.sqrt(pmf.probs * (1 - pmf.probs) / n)
         assert np.all(np.abs(counts - pmf.probs) < 4 * se + 1e-9)
@@ -190,7 +190,7 @@ class TestPrivatizeDelta:
         out = np.stack([privatize_delta(delta, config, rng) for _ in range(20_000)])
         for x in (0.3, 0.0, -0.2):
             pooled = out[:, delta == x]
-            pmf = quantized_gaussian_pmf(x, NoiseSpec(0.5), spec)
+            pmf = quantized_gaussian_pmf(x, MechanismSpec(NoiseSpec(0.5), spec))
             counts = np.array([(pooled == lv).sum() for lv in pmf.levels]) / pooled.size
             se = np.sqrt(pmf.probs * (1 - pmf.probs) / pooled.size)
             assert np.all(np.abs(counts - pmf.probs) < 4 * se + 1e-9), x

@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 
 from qdp.pmf import (
     LevelPmf,
+    MechanismSpec,
     NoiseSpec,
     log_cell_moments,
     quantized_gaussian_pmf,
@@ -19,6 +20,10 @@ from oracles import (
     quad_partial_first_moment,
     quad_pmf,
 )
+
+
+def mech(sigma, k, c_q=1.0):
+    return MechanismSpec(NoiseSpec(sigma), QuantizerSpec(k=k, c_q=c_q))
 
 
 def partial_first_moment(a, b, mu, sigma):
@@ -124,26 +129,25 @@ class TestLevelPmfValidation:
 
 class TestQuantizedGaussianPmf:
     def test_two_level_symmetry(self):
-        pmf = quantized_gaussian_pmf(0.0, NoiseSpec(1.0), QuantizerSpec(k=2, c_q=1.0))
+        pmf = quantized_gaussian_pmf(0.0, mech(1.0, 2))
         np.testing.assert_allclose(pmf.probs, [0.5, 0.5], atol=1e-15)
 
     def test_rejects_out_of_range_input(self):
         with pytest.raises(ValueError, match=r"\[-0.5, 0.5\]"):
-            quantized_gaussian_pmf(0.51, NoiseSpec(1.0), QuantizerSpec(k=4, c_q=1.0))
+            quantized_gaussian_pmf(0.51, mech(1.0, 4))
 
     @pytest.mark.parametrize("x", [-0.5, -0.2, 0.0, 0.31, 0.5])
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0])
     @pytest.mark.parametrize("k", [2, 3, 6, 17])
     def test_normalized_and_positive(self, x, sigma, k):
-        pmf = quantized_gaussian_pmf(x, NoiseSpec(sigma), QuantizerSpec(k=k, c_q=1.0))
+        pmf = quantized_gaussian_pmf(x, mech(sigma, k))
         assert abs(pmf.probs.sum() - 1.0) < 1e-9
         assert np.all(pmf.probs > 0)
 
     def test_mirror_symmetry(self):
-        spec = QuantizerSpec(k=7, c_q=2.0)
-        noise = NoiseSpec(0.8)
-        left = quantized_gaussian_pmf(-0.6, noise, spec)
-        right = quantized_gaussian_pmf(0.6, noise, spec)
+        m = mech(0.8, 7, 2.0)
+        left = quantized_gaussian_pmf(-0.6, m)
+        right = quantized_gaussian_pmf(0.6, m)
         np.testing.assert_allclose(left.probs, right.probs[::-1], rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize(
@@ -151,26 +155,26 @@ class TestQuantizedGaussianPmf:
         [(0.0, 1.0, 2, 1.0), (0.25, 0.5, 4, 1.0), (0.5, 0.5, 8, 1.0), (-0.3, 2.0, 16, 1.0)],
     )
     def test_matches_quadrature_oracle(self, x, sigma, k, c_q):
-        pmf = quantized_gaussian_pmf(x, NoiseSpec(sigma), QuantizerSpec(k=k, c_q=c_q))
+        pmf = quantized_gaussian_pmf(x, mech(sigma, k, c_q))
         np.testing.assert_allclose(pmf.probs, quad_pmf(x, sigma, k, c_q), atol=1e-10)
 
     def test_matches_monte_carlo(self):
         x, sigma, k, c_q = 0.5, 0.5, 4, 1.0
         n = 1_000_000
-        pmf = quantized_gaussian_pmf(x, NoiseSpec(sigma), QuantizerSpec(k=k, c_q=c_q))
+        pmf = quantized_gaussian_pmf(x, mech(sigma, k, c_q))
         empirical = monte_carlo_quantized_gaussian(x, sigma, k, c_q, n, seed=2024)
         se = np.sqrt(pmf.probs * (1 - pmf.probs) / n)
         assert np.all(np.abs(empirical - pmf.probs) < 4 * se + 1e-9)
 
     def test_vanishing_noise_recovers_two_point_rule(self):
         # x = 0.25 on a 3-level unit lattice: 0 w.p. 0.75, +1 w.p. 0.25
-        pmf = quantized_gaussian_pmf(0.25, NoiseSpec(1e-6), QuantizerSpec(k=3, c_q=1.0))
+        pmf = quantized_gaussian_pmf(0.25, mech(1e-6, 3))
         np.testing.assert_allclose(pmf.probs, [0.0, 0.75, 0.25], atol=1e-6)
 
     @pytest.mark.parametrize("sigma", [1e-9, 0.01, 1e6])
     @pytest.mark.parametrize("k", [2, 8, 1024])
     def test_log_masses_finite_where_masses_underflow(self, sigma, k):
-        pmf = quantized_gaussian_pmf(0.5, NoiseSpec(sigma), QuantizerSpec(k=k, c_q=1.0))
+        pmf = quantized_gaussian_pmf(0.5, mech(sigma, k))
         assert np.all(np.isfinite(pmf.log_probs))
         assert logsumexp(pmf.log_probs) == pytest.approx(0.0, abs=1e-9)
 
@@ -179,7 +183,7 @@ class TestQuantizedGaussianPmf:
     )
     def test_log_masses_match_high_precision_oracle(self, x, sigma, k):
         # log masses down to -7000, each good to ~1e-15 of its magnitude
-        pmf = quantized_gaussian_pmf(x, NoiseSpec(sigma), QuantizerSpec(k=k, c_q=1.0))
+        pmf = quantized_gaussian_pmf(x, mech(sigma, k))
         want = np.array([float(v) for v in mp_log_level_probs(x, sigma, k, 1.0)])
         np.testing.assert_allclose(pmf.log_probs, want, rtol=1e-14, atol=1e-14)
 
