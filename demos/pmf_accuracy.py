@@ -19,7 +19,7 @@ spec = QuantizerSpec(k=K, c_q=C_Q)
 pmf = quantized_gaussian_pmf(X, MechanismSpec(NoiseSpec(SIGMA), spec))
 
 rng = np.random.Generator(np.random.Philox(8))
-samples = quantize(X + SIGMA * rng.standard_normal(N), spec, rng)
+samples = quantize(X + SIGMA * rng.standard_normal(N), spec, rng.random(N))
 empirical = np.array([(samples == level).mean() for level in pmf.levels])
 
 print(f"x = {X}, sigma = {SIGMA}, k = {K}, c_q = {C_Q}, {N:,} samples")

@@ -10,8 +10,9 @@ the membership-inference harness. One flat ``FlRunConfig`` holds every
 setting of a run, the task's included, under the keys of its config file.
 
 All randomness flows through counter-based Philox streams keyed by
-(seed, purpose, round, client), so runs are reproducible and client work
-may be parallelized without changing results.
+(seed, purpose, round, client). A round's sampled clients train in one
+batched call over a leading client axis, each drawing from its own stream,
+so every client's result is fixed by its stream, not by the batching.
 """
 
 from __future__ import annotations
@@ -133,23 +134,30 @@ def sample_mixture(rng: np.random.Generator, n: int, config: FlRunConfig):
 
 
 def make_task_data(config: FlRunConfig):
-    """Client shards and the shared test set, deterministic in the run seed."""
+    """Client shards, stacked as (N, s, d) features and (N, s) labels, and the test set.
+
+    Deterministic in the run seed: shard i is the i-th ``sample_mixture`` draw
+    of the data stream, and the test set the draw after the last shard.
+    """
     rng = _stream(config.seed, _DATA_STREAM)
     shards = [
         sample_mixture(rng, config.samples_per_client, config)
         for _ in range(config.n_clients_total)
     ]
     test = sample_mixture(rng, config.test_samples, config)
-    return shards, test
+    return (np.stack([x for x, _ in shards]), np.stack([y for _, y in shards])), test
 
 
 def _logits(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return x @ weights[:-1] + weights[-1]
+    # weights (..., d+1) against x (..., n, d), one model per leading index
+    return (x @ weights[..., :-1, None])[..., 0] + weights[..., -1:]
 
 
 def _gradient(weights, x, y):
+    # weights (m, d+1), x (m, b, d), y (m, b)
     residual = special.expit(_logits(weights, x)) - y
-    return np.concatenate([x.T @ residual, [residual.sum()]]) / len(y)
+    grad = (x.transpose(0, 2, 1) @ residual[..., None])[..., 0]
+    return np.concatenate([grad, residual.sum(axis=-1, keepdims=True)], axis=-1) / y.shape[-1]
 
 
 def cross_entropy_losses(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -171,47 +179,64 @@ def sgd(
     steps: int,
     learning_rate: float,
     batch_size: int,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
 ) -> np.ndarray:
-    """Mini-batch SGD on the logistic loss starting from ``weights``; returns new weights.
+    """Mini-batch SGD on the logistic loss for m models at once; returns their new weights.
 
-    Clients train from the global weights and shadow models from zeros. Each
-    step draws ``batch_size`` distinct indices from ``rng``, or takes the whole
-    set without drawing when the batch covers it. ``weights`` is not modified.
+    ``weights`` is (m, d+1), ``x`` is (m, n, d) and ``y`` is (m, n): model j
+    trains on ``x[j]``, ``y[j]`` and draws from ``rngs[j]``. Each step, every
+    model draws ``batch_size`` distinct indices from its own generator, or
+    takes its whole set without drawing when the batch covers it. Model j's
+    result equals that of a one-model call on its own rows, bit for bit.
+    Clients train from the global weights and shadow models from zeros.
+    ``weights`` is not modified.
     """
-    n = len(y)
+    m, n = np.shape(y)
     if n == 0:
         raise ValueError("cannot fit on an empty dataset")
-    weights = np.array(weights, dtype=float)
+    if len(rngs) != m:
+        raise ValueError(f"need one generator per model: {len(rngs)} for {m} models")
+    # C order gives each model's row the layout, and so the matmuls the
+    # summation order, of a one-model call
+    weights = np.array(weights, dtype=float, order="C")
+    rows = np.arange(m)[:, None]
     for _ in range(steps):
         if batch_size < n:
-            idx = rng.choice(n, size=batch_size, replace=False)
-            bx, by = x[idx], y[idx]
+            idx = np.stack([rng.choice(n, size=batch_size, replace=False) for rng in rngs])
+            bx, by = x[rows, idx], y[rows, idx]
         else:
             bx, by = x, y
         weights -= learning_rate * _gradient(weights, bx, by)
     return weights
 
 
-def privatize_delta(delta: np.ndarray, config: FlRunConfig, rng: np.random.Generator) -> np.ndarray:
-    """Clip to c_q/2, add N(0, sigma^2) per coordinate, quantize onto the lattice.
+def privatize_delta(
+    deltas: np.ndarray, config: FlRunConfig, rngs: list[np.random.Generator]
+) -> np.ndarray:
+    """Release each row of ``deltas``: clip to c_q/2, add N(0, sigma^2) per coordinate, quantize.
 
     With sigma = 0 the noise stage is the identity; with k = None the
-    quantizer stage is. Noise is drawn before the quantizer's uniforms so the
-    stream layout is fixed. After the clip every stage is elementwise (noise,
-    then ``quantize``'s clamp and rounding), so each coordinate is released by
-    the mechanism whose level pmf the accountant computes.
+    quantizer stage is. Row j draws from ``rngs[j]``: its d + 1 noise values,
+    then its d + 1 rounding uniforms, so the stream layout is fixed. After the
+    clip every stage is elementwise (noise, then ``quantize``'s clamp and
+    rounding), so each coordinate is released by the mechanism whose level
+    pmf the accountant computes.
     """
-    h = clip_vector(delta, config.c_q / 2.0)
+    h = clip_vector(deltas, config.c_q / 2.0)
+    width = h.shape[-1]
     if config.sigma > 0:
-        h = h + config.sigma * rng.standard_normal(np.shape(h))
+        h = h + config.sigma * np.stack([rng.standard_normal(width) for rng in rngs])
     if config.k is not None:
-        h = quantize(h, QuantizerSpec(k=config.k, c_q=config.c_q), rng)
+        uniforms = np.stack([rng.random(width) for rng in rngs])
+        h = quantize(h, QuantizerSpec(k=config.k, c_q=config.c_q), uniforms)
     return h
 
 
-def aggregate(weights: np.ndarray, deltas: list[np.ndarray]) -> np.ndarray:
-    """Add the mean of the deltas: FedAvg's |D_i|/|D| weighting, as every shard has one size."""
+def aggregate(weights: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Add the mean of the (m, d+1) stack of deltas.
+
+    That is FedAvg's |D_i|/|D| weighting, as every shard has one size.
+    """
     if len(deltas) == 0:
         raise ValueError("no client updates to aggregate")
     return weights + np.mean(deltas, axis=0)
@@ -220,10 +245,10 @@ def aggregate(weights: np.ndarray, deltas: list[np.ndarray]) -> np.ndarray:
 def train(config: FlRunConfig) -> RunResult:
     """Run the full federated loop and log test metrics each round.
 
-    Non-finite weights abort the run, naming the round.
+    Non-finite weights abort the run, naming the round and, when local
+    training diverged, the lowest sampled client that did.
     """
-    shards, test = make_task_data(config)
-    test_x, test_y = test
+    (shard_x, shard_y), (test_x, test_y) = make_task_data(config)
     weights = np.zeros(config.dimension + 1)
     metrics: list[tuple[int, float, float]] = []
     for t in range(config.rounds):
@@ -231,20 +256,19 @@ def train(config: FlRunConfig) -> RunResult:
         sampled = np.sort(
             sampling_rng.choice(config.n_clients_total, size=config.n_sampled, replace=False)
         )
-        deltas = []
-        for i in sampled:
-            client_rng = _stream(config.seed, _CLIENT_STREAM, t, int(i))
-            x, y = shards[i]
-            local_weights = sgd(
-                weights, x, y, config.local_steps, config.learning_rate,
-                config.batch_size, client_rng,
+        rngs = [_stream(config.seed, _CLIENT_STREAM, t, int(i)) for i in sampled]
+        start = np.broadcast_to(weights, (len(sampled), len(weights)))
+        local = sgd(
+            start, shard_x[sampled], shard_y[sampled], config.local_steps,
+            config.learning_rate, config.batch_size, rngs,
+        )
+        diverged = ~np.isfinite(local).all(axis=1)
+        if diverged.any():
+            raise RuntimeError(
+                f"training diverged: client {sampled[np.argmax(diverged)]} produced "
+                f"non-finite weights in round {t + 1}"
             )
-            if not np.all(np.isfinite(local_weights)):
-                raise RuntimeError(
-                    f"training diverged: client {i} produced non-finite weights in round {t + 1}"
-                )
-            deltas.append(privatize_delta(local_weights - weights, config, client_rng))
-        weights = aggregate(weights, deltas)
+        weights = aggregate(weights, privatize_delta(local - weights, config, rngs))
         if not np.all(np.isfinite(weights)):
             raise RuntimeError(f"training diverged: non-finite weights after round {t + 1}")
         accuracy, loss = evaluate(weights, test_x, test_y)

@@ -137,9 +137,9 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
     construction.
     """
     half = attack_config.audit_size // 2
-    shards, _ = flsim.make_task_data(fl_config)
-    train_x = np.vstack([x for x, _ in shards])
-    train_y = np.concatenate([y for _, y in shards])
+    (shard_x, shard_y), _ = flsim.make_task_data(fl_config)
+    train_x = shard_x.reshape(-1, fl_config.dimension)
+    train_y = shard_y.reshape(-1)
     n_train = len(train_y)
     if half > n_train:
         raise ValueError(
@@ -160,14 +160,16 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
     is_member = np.arange(2 * half) < half
 
     steps = fl_config.rounds * fl_config.local_steps
-    start = np.zeros(fl_config.dimension + 1)
+    start = np.zeros((1, fl_config.dimension + 1))
     models = []
+    # one shadow per call: batching these full-batch fits measured slower
     for m in range(attack_config.m_shadows):
         shadow_rng = flsim._stream(fl_config.seed, _SHADOW_STREAM, m)
         sx, sy = flsim.sample_mixture(shadow_rng, n_train, fl_config)
-        models.append(
-            flsim.sgd(start, sx, sy, steps, fl_config.learning_rate, len(sy), shadow_rng)
+        (weights,) = flsim.sgd(
+            start, sx[None], sy[None], steps, fl_config.learning_rate, n_train, [shadow_rng]
         )
+        models.append(weights)
 
     mu_out, sigma_out = fit_out_distribution(models, audit_x, audit_y)
     target_losses = flsim.cross_entropy_losses(target_weights, audit_x, audit_y)

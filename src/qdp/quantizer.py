@@ -48,9 +48,10 @@ class QuantizerSpec:
 
 
 def clip_vector(w, radius: float) -> np.ndarray:
-    """Scale ``w`` onto the L2 ball of ``radius``; shorter vectors pass through.
+    """Scale each row of ``w`` onto the L2 ball of ``radius``; shorter rows pass through.
 
-    Returns w * min(1, radius/||w||), which preserves direction. The zero
+    A row is a vector along the last axis; a 1-D ``w`` is one row. Returns
+    w * min(1, radius/||w||) row by row, which preserves direction. The zero
     vector is a fixed point.
     """
     if not radius > 0:
@@ -58,20 +59,19 @@ def clip_vector(w, radius: float) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("cannot clip a vector with non-finite entries")
-    norm = float(np.linalg.norm(w))
-    if norm <= radius:
-        return w
-    return w * (radius / norm)
+    # a per-row dot product, so each norm is what np.linalg.norm gives the row
+    norm = np.sqrt(w[..., None, :] @ w[..., :, None])[..., 0]
+    return w * (radius / np.maximum(norm, radius))
 
 
-def quantize(w, spec: QuantizerSpec, rng: np.random.Generator) -> np.ndarray:
+def quantize(w, spec: QuantizerSpec, uniforms) -> np.ndarray:
     """Clamp each coordinate to [-c_q, c_q], then stochastically round.
 
-    A clamped value in [B(r), B(r+1)] maps to B(r+1) with probability
-    (v - B(r))/delta and to B(r) otherwise, so lattice points map to
-    themselves and in-range coordinates match the input in expectation.
-    Each element consumes exactly one uniform draw from ``rng``, in element
-    order, so results are reproducible however the work is scheduled.
+    A clamped value v in [B(r), B(r+1)] maps to B(r+1) when its uniform in
+    [0, 1) falls below (v - B(r))/delta and to B(r) otherwise, so lattice
+    points map to themselves and, for independent uniforms, in-range
+    coordinates match the input in expectation. ``uniforms`` holds one draw
+    per element of ``w``; the caller owns the stream they come from.
     Shape-agnostic, which makes batches of independent mechanism draws cheap.
     Applied to a noisy input this is, coordinate by coordinate, the
     mechanism whose level pmf ``pmf.quantized_gaussian_pmf`` computes.
@@ -79,9 +79,13 @@ def quantize(w, spec: QuantizerSpec, rng: np.random.Generator) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if not np.isfinite(w).all():
         raise ValueError("cannot quantize a vector with non-finite entries")
+    if np.shape(uniforms) != w.shape:
+        raise ValueError(
+            f"need one uniform per element: {np.shape(uniforms)} for an input of {w.shape}"
+        )
     v = np.clip(w, -spec.c_q, spec.c_q)
     # Bracket index: clamped floor keeps values at +c_q in the top cell.
     r = np.clip(np.floor((v + spec.c_q) / spec.delta), 0, spec.k - 2)
     lo, hi = spec.level(r), spec.level(r + 1)
     frac = np.where(v == hi, 1.0, (v - lo) / spec.delta)
-    return np.where(rng.random(size=v.shape) < frac, hi, lo)
+    return np.where(uniforms < frac, hi, lo)

@@ -195,7 +195,7 @@ def test_criterion_6_quantizer_unbiasedness():
         w = direction / np.linalg.norm(direction) * spec.c_q * rng.uniform(0.0, 1.0)
         # the quantizer is elementwise and these inputs are in range, so a
         # (draws, 6) tile gives independent mechanism samples
-        samples = quantize(np.tile(w, (draws, 1)), spec, rng)
+        samples = quantize(np.tile(w, (draws, 1)), spec, rng.random((draws, len(w))))
         mean = samples.mean(axis=0)
         r = np.clip(np.floor((w + spec.c_q) / spec.delta), 0, spec.k - 2)
         lo, hi = spec.level(r), spec.level(r + 1)

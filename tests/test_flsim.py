@@ -23,6 +23,11 @@ def philox(*key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
+def release(delta, config, rng):
+    """privatize_delta on one client's update, with a leading axis of 1."""
+    return privatize_delta(delta[None], config, [rng])[0]
+
+
 def make_config(**overrides):
     defaults = dict(
         n_clients_total=4,
@@ -80,12 +85,25 @@ class TestConfigValidation:
 class TestTaskData:
     def test_shapes_and_determinism(self):
         config = make_config()
-        shards, (test_x, test_y) = make_task_data(config)
-        assert len(shards) == 4
-        assert shards[0][0].shape == (8, 5)
+        (xs, ys), (test_x, test_y) = make_task_data(config)
+        assert xs.shape == (4, 8, 5)
+        assert ys.shape == (4, 8)
         assert test_x.shape == (500, 5)
-        shards2, _ = make_task_data(config)
-        np.testing.assert_array_equal(shards[2][0], shards2[2][0])
+        (xs2, _), _ = make_task_data(config)
+        np.testing.assert_array_equal(xs, xs2)
+
+    def test_stacked_shards_are_the_per_shard_draws(self):
+        # shard i is the i-th mixture draw of the data stream, the test set the next
+        config = make_config()
+        (xs, ys), (test_x, test_y) = make_task_data(config)
+        rng = flsim._stream(config.seed, flsim._DATA_STREAM)
+        for i in range(config.n_clients_total):
+            x, y = sample_mixture(rng, config.samples_per_client, config)
+            np.testing.assert_array_equal(xs[i], x)
+            np.testing.assert_array_equal(ys[i], y)
+        x, y = sample_mixture(rng, config.test_samples, config)
+        np.testing.assert_array_equal(test_x, x)
+        np.testing.assert_array_equal(test_y, y)
 
     def test_margin_separates_class_means(self):
         x, y = sample_mixture(philox(1), 20_000, make_config(dimension=3, margin=3.0))
@@ -96,36 +114,60 @@ class TestTaskData:
 class TestLocalUpdate:
     def test_zero_learning_rate_is_identity(self):
         config = make_config(learning_rate=0.0)
-        shards, _ = make_task_data(config)
-        x, y = shards[0]
+        (xs, ys), _ = make_task_data(config)
         out = sgd(
-            np.ones(6), x, y, config.local_steps, config.learning_rate, config.batch_size,
-            philox(0),
+            np.ones((4, 6)), xs, ys, config.local_steps, config.learning_rate,
+            config.batch_size, [philox(0, i) for i in range(4)],
         )
-        np.testing.assert_array_equal(out, np.ones(6))
+        np.testing.assert_array_equal(out, np.ones((4, 6)))
 
     def test_single_step_matches_hand_gradient(self):
         # one sample (x=2, y=1), weights (0.3, -0.1), lr 0.25: frozen by hand
-        out = sgd(np.array([0.3, -0.1]), np.array([[2.0]]), np.array([1.0]), 1, 0.25, 1, philox(0))
+        out = sgd(
+            np.array([[0.3, -0.1]]), np.array([[[2.0]]]), np.array([[1.0]]), 1, 0.25, 1,
+            [philox(0)],
+        )
         np.testing.assert_allclose(
-            out, [0.4887703343990727, -0.005614832800463654], atol=1e-12
+            out, [[0.4887703343990727, -0.005614832800463654]], atol=1e-12
         )
 
     def test_leaves_start_weights_unchanged(self):
-        start = np.zeros(3)
+        start = np.zeros((1, 3))
         x, y = sample_mixture(philox(5), 8, make_config(dimension=2))
-        out = sgd(start, x, y, 3, 0.5, 4, philox(6))
-        np.testing.assert_array_equal(start, np.zeros(3))
+        out = sgd(start, x[None], y[None], 3, 0.5, 4, [philox(6)])
+        np.testing.assert_array_equal(start, np.zeros((1, 3)))
         assert np.any(out != 0)
 
     def test_rejects_empty_shard(self):
         with pytest.raises(ValueError, match="empty"):
-            sgd(np.zeros(6), np.zeros((0, 5)), np.zeros(0), 5, 0.5, 8, philox(0))
+            sgd(np.zeros((1, 6)), np.zeros((1, 0, 5)), np.zeros((1, 0)), 5, 0.5, 8, [philox(0)])
+
+    def test_needs_one_generator_per_model(self):
+        x, y = sample_mixture(philox(5), 16, make_config(dimension=2))
+        with pytest.raises(ValueError, match="one generator per model"):
+            sgd(np.zeros((2, 3)), x.reshape(2, 8, 2), y.reshape(2, 8), 3, 0.5, 4, [philox(6)])
+
+    @pytest.mark.parametrize(
+        "m, n, d, batch_size, steps",
+        [(5, 8, 5, 4, 10), (7, 4, 100, 3, 5), (3, 1024, 50, 1024, 20)],
+        ids=["minibatch", "client-shape", "fullbatch"],
+    )
+    def test_batched_equals_one_model_calls(self, m, n, d, batch_size, steps):
+        # model j of one batched call is, bit for bit, a one-model call on its rows
+        config = make_config(dimension=d)
+        pairs = [sample_mixture(philox(7, j), n, config) for j in range(m)]
+        xs, ys = np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs])
+        start = philox(8).normal(scale=0.1, size=(m, d + 1))
+        batched = sgd(start, xs, ys, steps, 0.5, batch_size, [philox(9, j) for j in range(m)])
+        for j in range(m):
+            alone = sgd(start[j:j + 1], xs[j:j + 1], ys[j:j + 1], steps, 0.5, batch_size,
+                        [philox(9, j)])
+            np.testing.assert_array_equal(batched[j], alone[0])
 
     def test_converges_on_separable_task(self):
         # reference: an independent full-batch gradient-descent loop
         x, y = sample_mixture(philox(3), 40, make_config(dimension=2, margin=4.0))
-        out = sgd(np.zeros(3), x, y, 200, 0.5, 40, philox(4))
+        (out,) = sgd(np.zeros((1, 3)), x[None], y[None], 200, 0.5, 40, [philox(4)])
 
         w_ref = np.zeros(3)
         for _ in range(200):
@@ -140,13 +182,13 @@ class TestPrivatizeDelta:
     def test_all_stages_identity(self):
         config = make_config(sigma=0.0, k=None)
         delta = np.array([0.1, -0.2, 0.05, 0.0, 0.0, 0.0])
-        update = privatize_delta(delta, config, philox(0))
+        update = release(delta, config, philox(0))
         np.testing.assert_array_equal(update, delta)
 
     def test_zero_delta_two_levels_symmetric(self):
         config = make_config(sigma=0.0, k=2, c_q=1.0)
         rng = philox(1)
-        out = np.stack([privatize_delta(np.zeros(6), config, rng) for _ in range(20_000)])
+        out = privatize_delta(np.zeros((20_000, 6)), config, [rng] * 20_000)
         assert set(np.unique(out)) == {-1.0, 1.0}
         # each coordinate is +-1 with equal probability, so the mean drifts to 0
         assert abs(out.mean()) < 4 * np.sqrt(1.0 / out.size)
@@ -156,7 +198,7 @@ class TestPrivatizeDelta:
         rng = philox(2)
         for _ in range(50):
             delta = rng.normal(size=6)
-            update = privatize_delta(delta, config, rng)
+            update = release(delta, config, rng)
             assert np.all(np.abs(update) <= 1.0)
 
     def test_scalar_pipeline_matches_analytic_pmf(self):
@@ -165,15 +207,15 @@ class TestPrivatizeDelta:
         # draw-by-draw, the operation is exactly clip -> noise -> quantize on
         # one stream; pin that so the bulk sampling below speaks for it
         for s in range(20):
-            via_op = privatize_delta(np.array([0.3]), config, philox(30, s))
+            via_op = release(np.array([0.3]), config, philox(30, s))
             rng = philox(30, s)
             noisy = clip_vector(np.array([0.3]), 0.5) + 0.5 * rng.standard_normal(1)
-            np.testing.assert_array_equal(via_op, quantize(noisy, spec, rng))
+            np.testing.assert_array_equal(via_op, quantize(noisy, spec, rng.random(1)))
         # the same stages in bulk give 1e6 independent mechanism draws
         n = 1_000_000
         rng = philox(3)
         noisy = 0.3 + 0.5 * rng.standard_normal(n)
-        rounded = quantize(noisy, spec, rng)
+        rounded = quantize(noisy, spec, rng.random(n))
         pmf = quantized_gaussian_pmf(0.3, MechanismSpec(NoiseSpec(0.5), spec))
         counts = np.array([(rounded == lv).sum() for lv in pmf.levels]) / n
         se = np.sqrt(pmf.probs * (1 - pmf.probs) / n)
@@ -187,7 +229,7 @@ class TestPrivatizeDelta:
         delta = np.zeros(21)
         delta[0], delta[-1] = 0.3, -0.2
         rng = philox(5)
-        out = np.stack([privatize_delta(delta, config, rng) for _ in range(20_000)])
+        out = privatize_delta(np.tile(delta, (20_000, 1)), config, [rng] * 20_000)
         for x in (0.3, 0.0, -0.2):
             pooled = out[:, delta == x]
             pmf = quantized_gaussian_pmf(x, MechanismSpec(NoiseSpec(0.5), spec))
@@ -204,7 +246,7 @@ class TestPrivatizeDelta:
         total = np.zeros(6)
         total_sq = np.zeros(6)
         for _ in range(n):
-            out = privatize_delta(delta, config, rng)
+            out = release(delta, config, rng)
             total += out
             total_sq += out**2
         mean = total / n
@@ -215,16 +257,16 @@ class TestPrivatizeDelta:
 
 class TestAggregate:
     def test_equal_coefficients(self):
-        out = aggregate(np.zeros(2), [np.array([1.0, 1.0]), np.array([3.0, 3.0])])
+        out = aggregate(np.zeros(2), np.array([[1.0, 1.0], [3.0, 3.0]]))
         np.testing.assert_allclose(out, [2.0, 2.0])
 
     def test_single_client_adds_delta(self):
-        out = aggregate(np.array([1.0, 2.0]), [np.array([0.5, -0.5])])
+        out = aggregate(np.array([1.0, 2.0]), np.array([[0.5, -0.5]]))
         np.testing.assert_allclose(out, [1.5, 1.5])
 
     def test_empty_updates_rejected(self):
         with pytest.raises(ValueError, match="no client updates"):
-            aggregate(np.zeros(1), [])
+            aggregate(np.zeros(1), np.zeros((0, 1)))
 
 
 class TestTrain:
@@ -257,30 +299,44 @@ class TestTrain:
             test_samples=2000,
         )
         result = train(config)
-        shards, _ = make_task_data(config)
-        x, y = shards[0]
+        (xs, ys), _ = make_task_data(config)
+        x, y = xs[0], ys[0]
         w = np.zeros(4)
         for _ in range(12):
             residual = expit(x @ w[:-1] + w[-1]) - y
             w -= 0.3 * np.concatenate([x.T @ residual, [residual.sum()]]) / len(y)
         np.testing.assert_allclose(result.weights, w, atol=1e-9)
 
-    def test_round_update_is_mean_over_sampled_clients(self):
-        # 2 of 4 clients sampled: the update divides by n = 2, not by N = 4
-        config = make_config(n_clients_total=4, n_sampled=2, rounds=1, batch_size=3, c_q=1e9)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n_clients_total=4, n_sampled=2, c_q=1e9),
+            dict(n_clients_total=6, n_sampled=4, sigma=0.3, k=16),
+            dict(n_clients_total=6, n_sampled=4, c_q=0.1, dimension=50),
+        ],
+        ids=["unquantized", "quantized", "clipped"],
+    )
+    def test_round_update_is_mean_over_sampled_clients(self, overrides):
+        # the update divides by n, not by N; each client's release is one sgd
+        # call then one privatize_delta call on its own stream, made alone,
+        # which pins the stream layout: batch indices, noise, then uniforms
+        config = make_config(rounds=1, batch_size=3, **overrides)
         result = train(config)
-        shards, _ = make_task_data(config)
+        (xs, ys), _ = make_task_data(config)
         sampling_rng = flsim._stream(config.seed, flsim._SAMPLING_STREAM, 0)
-        sampled = np.sort(sampling_rng.choice(4, size=2, replace=False))
-        start = np.zeros(6)
-        local = [
-            sgd(
-                start, *shards[i], config.local_steps, config.learning_rate, config.batch_size,
-                flsim._stream(config.seed, flsim._CLIENT_STREAM, 0, int(i)),
+        sampled = np.sort(
+            sampling_rng.choice(config.n_clients_total, size=config.n_sampled, replace=False)
+        )
+        start = np.zeros((1, config.dimension + 1))
+        releases = []
+        for i in sampled:
+            rng = flsim._stream(config.seed, flsim._CLIENT_STREAM, 0, int(i))
+            local = sgd(
+                start, xs[i:i + 1], ys[i:i + 1], config.local_steps, config.learning_rate,
+                config.batch_size, [rng],
             )
-            for i in sampled
-        ]
-        np.testing.assert_allclose(result.weights, np.mean(local, axis=0), rtol=0, atol=1e-12)
+            releases.append(privatize_delta(local - start, config, [rng])[0])
+        np.testing.assert_array_equal(result.weights, start[0] + np.mean(releases, axis=0))
 
     def test_identical_seed_identical_metrics(self):
         config = make_config(sigma=0.1, k=8, seed=42)
@@ -291,6 +347,16 @@ class TestTrain:
         result = train(config)
         assert len(result.metrics) == 6
         assert np.all(np.isfinite(result.weights))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_lowest_diverged_client(self):
+        # clients 0, 1 and 2 are sampled; 0 stays finite, so the message names 1
+        config = make_config(learning_rate=1.7e308, local_steps=50, n_sampled=3, batch_size=4)
+        with pytest.raises(RuntimeError) as info:
+            train(config)
+        assert str(info.value) == (
+            "training diverged: client 1 produced non-finite weights in round 1"
+        )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_round_number(self):

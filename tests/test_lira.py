@@ -226,8 +226,8 @@ class TestAuditRun:
         # from its stream key and compare feature rows
         config, attack = leak_config(4), AttackConfig()
         half = attack.audit_size // 2
-        shards, _ = make_task_data(config)
-        train_x = np.vstack([x for x, _ in shards])
+        (shard_x, _), _ = make_task_data(config)
+        train_x = shard_x.reshape(-1, config.dimension)
         n_train = len(train_x)
         member_rng = flsim._stream(config.seed, lira._MEMBER_STREAM)
         member_ids = np.sort(member_rng.choice(n_train, size=half, replace=False))

@@ -12,6 +12,10 @@ def philox(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def uniforms(seed, shape):
+    return philox(seed).random(shape)
+
+
 class TestQuantizerSpec:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -56,6 +60,16 @@ class TestClipVector:
         with pytest.raises(ValueError):
             clip_vector([1.0], 0.0)
 
+    def test_clips_row_by_row(self):
+        # rows inside, on and outside the ball; each row as if clipped alone
+        rows = np.array([[0.3, -0.1, 0.2], [3.0, 0.0, 4.0], [6.0, -8.0, 1e-3], [0.0, 0.0, 0.0]])
+        rows = np.vstack([rows, philox(17).normal(scale=4.0, size=(20, 3))])
+        out = clip_vector(rows, 5.0)
+        for row, clipped in zip(rows, out):
+            norm = np.linalg.norm(row)
+            expected = row if norm <= 5.0 else row * (5.0 / norm)
+            np.testing.assert_array_equal(clipped, expected)
+
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
         st.floats(1e-3, 1e3),
@@ -76,7 +90,7 @@ class TestClipVector:
 class TestQuantize:
     def test_midpoint_two_level_symmetry(self):
         spec = QuantizerSpec(k=2, c_q=1.0)
-        out = quantize(np.zeros(200_000), spec, philox(0))
+        out = quantize(np.zeros(200_000), spec, uniforms(0, 200_000))
         assert set(np.unique(out)) == {-1.0, 1.0}
         up_rate = np.mean(out == 1.0)
         assert abs(up_rate - 0.5) < 4 * np.sqrt(0.25 / 200_000)
@@ -85,30 +99,30 @@ class TestQuantize:
         # 0.25 in a 3-level unit lattice sits 1/4 of the way from 0 to 1
         spec = QuantizerSpec(k=3, c_q=1.0)
         n = 100_000
-        out = quantize(np.full(n, 0.25), spec, philox(1))
+        out = quantize(np.full(n, 0.25), spec, uniforms(1, n))
         assert set(np.unique(out)) == {0.0, 1.0}
         p_hat = np.mean(out == 1.0)
         assert abs(p_hat - 0.25) < 4 * np.sqrt(0.25 * 0.75 / n)
 
     def test_lattice_point_is_deterministic(self):
         spec = QuantizerSpec(k=5, c_q=1.0)
-        out = quantize(np.full(1000, 1.0), spec, philox(2))
+        out = quantize(np.full(1000, 1.0), spec, uniforms(2, 1000))
         assert np.all(out == 1.0)
-        out = quantize(np.full(1000, -0.5), spec, philox(3))
+        out = quantize(np.full(1000, -0.5), spec, uniforms(3, 1000))
         assert np.all(out == -0.5)
 
     def test_output_in_codomain(self):
         spec = QuantizerSpec(k=7, c_q=2.0)
         rng = philox(4)
         w = rng.uniform(-5, 5, size=1000)
-        out = quantize(w, spec, philox(5))
+        out = quantize(w, spec, uniforms(5, w.shape))
         levels = spec.levels()
         assert np.all(np.isin(out, levels))
 
     def test_two_point_support_brackets_input(self):
         spec = QuantizerSpec(k=9, c_q=1.0)
         w = np.full(5000, 0.37)
-        out = quantize(w, spec, philox(6))
+        out = quantize(w, spec, uniforms(6, w.shape))
         support = np.unique(out)
         assert len(support) == 2
         lo, hi = support
@@ -119,7 +133,7 @@ class TestQuantize:
         spec = QuantizerSpec(k=4, c_q=1.0)
         n = 100_000
         w = np.full(n, 0.11)
-        out = quantize(w, spec, philox(7))
+        out = quantize(w, spec, uniforms(7, w.shape))
         lo = spec.level(np.clip(np.floor((0.11 + 1.0) / spec.delta), 0, spec.k - 2))
         hi = lo + spec.delta
         se = np.sqrt((hi - 0.11) * (0.11 - lo) / n)
@@ -128,14 +142,14 @@ class TestQuantize:
     def test_clips_before_rounding(self):
         # the out-of-range coordinate is clamped to c_q before quantization
         spec = QuantizerSpec(k=2, c_q=1.0)
-        out = quantize(np.array([2.0, 0.0]), spec, philox(8))
+        out = quantize(np.array([2.0, 0.0]), spec, uniforms(8, 2))
         assert out[0] == 1.0
 
     def test_identical_seed_identical_output(self):
         spec = QuantizerSpec(k=16, c_q=1.0)
         w = philox(9).uniform(-1, 1, size=256)
-        a = quantize(w, spec, philox(10))
-        b = quantize(w, spec, philox(10))
+        a = quantize(w, spec, uniforms(10, w.shape))
+        b = quantize(w, spec, uniforms(10, w.shape))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("k", [2, 3, 16, 1024])
@@ -146,7 +160,7 @@ class TestQuantize:
         in_range = np.concatenate([philox(11).uniform(-1, 1, size=64), spec.levels()])
         out_of_range = philox(15).uniform(-3, 3, size=64)
         for w in (in_range, out_of_range):
-            a = quantize(w, spec, philox(12))
+            a = quantize(w, spec, uniforms(12, w.shape))
             b = stochastic_round(np.clip(w, -spec.c_q, spec.c_q), spec, philox(12))
             assert a.tobytes() == b.tobytes()
 
@@ -154,4 +168,11 @@ class TestQuantize:
     def test_quantize_rejects_nonfinite(self, bad):
         spec = QuantizerSpec(k=4, c_q=1.0)
         with pytest.raises(ValueError, match="non-finite"):
-            quantize(np.array([0.5, bad]), spec, philox(14))
+            quantize(np.array([0.5, bad]), spec, uniforms(14, 2))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 1)])
+    def test_quantize_needs_one_uniform_per_element(self, shape):
+        # a broadcast uniform would round several coordinates on one draw
+        spec = QuantizerSpec(k=4, c_q=1.0)
+        with pytest.raises(ValueError, match="one uniform per element"):
+            quantize(np.zeros((2, 3)), spec, uniforms(16, shape))
