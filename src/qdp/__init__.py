@@ -23,7 +23,7 @@ from .accountant import (
 )
 from .flsim import FlRunConfig, RunResult, train
 from .lira import AttackConfig, AttackReport, audit_run
-from .pmf import LevelPmf, MechanismSpec, NoiseSpec, quantized_gaussian_pmf
+from .pmf import MechanismSpec, NoiseSpec, quantized_gaussian_pmf
 from .quantizer import QuantizerSpec, clip_vector, quantize
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "clip_vector",
     "quantize",
     "NoiseSpec",
-    "LevelPmf",
     "quantized_gaussian_pmf",
     "RdpPoint",
     "DpPoint",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .pmf import LevelPmf, MechanismSpec, NoiseSpec, log_cell_moments, quantized_gaussian_pmf
+from .pmf import MechanismSpec, NoiseSpec, log_cell_moments, quantized_gaussian_pmf
 from .quantizer import QuantizerSpec
 
 __all__ = [
@@ -72,8 +72,20 @@ def _finite(budget: float, mech: MechanismSpec) -> float:
     return budget
 
 
-def _divergence(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> float:
-    # D_alpha(p || q) from log masses; levels where p vanishes contribute nothing
+def renyi_divergence(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> float:
+    """Order-alpha Renyi divergence D_alpha(p || q) between two level pmfs,
+    each given as an array of natural-log masses over the same levels.
+
+    The KL sum at alpha = 1, the log-mean-exponential form at finite alpha,
+    the worst-case log ratio at alpha = inf, all on the log masses, so it
+    stays accurate where masses underflow. A level where q vanishes but p
+    does not makes it +inf; true zeros are never clamped.
+    """
+    if len(log_p) != len(log_q):
+        raise ValueError(f"pmfs have different numbers of levels: {len(log_p)} vs {len(log_q)}")
+    if not alpha >= 1:
+        raise ValueError(f"Renyi order must be >= 1, got {alpha}")
+    # levels where p vanishes contribute nothing
     if log_p.min() == -np.inf:
         support = log_p > -np.inf
         log_p, log_q = log_p[support], log_q[support]
@@ -88,27 +100,12 @@ def _divergence(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> float:
     return max(float(special.logsumexp(log_p + (alpha - 1.0) * log_ratio)) / (alpha - 1.0), 0.0)
 
 
-def renyi_divergence(p: LevelPmf, q: LevelPmf, alpha: float) -> float:
-    """Order-alpha Renyi divergence D_alpha(p || q) between two level pmfs.
-
-    The KL sum at alpha = 1, the log-mean-exponential form at finite alpha,
-    the worst-case log ratio at alpha = inf, all on the log masses, so it
-    stays accurate where masses underflow. A level where q vanishes but p
-    does not makes it +inf; true zeros are never clamped.
-    """
-    if p.spec != q.spec:
-        raise ValueError(f"pmfs live on different lattices: {p.spec} vs {q.spec}")
-    if not alpha >= 1:
-        raise ValueError(f"Renyi order must be >= 1, got {alpha}")
-    return _divergence(p.log_probs, q.log_probs, alpha)
-
-
 def epsilon_one(mech: MechanismSpec) -> float:
     """alpha = 1 budget: KL divergence between the extremal-input pmfs; the
     pmf at -c_q/2 is the mirror image of the one at +c_q/2. Raises where
     the budget exceeds the largest float."""
-    log_p = quantized_gaussian_pmf(mech.quant.c_q / 2.0, mech).log_probs
-    return _finite(_divergence(log_p, log_p[::-1], 1.0), mech)
+    log_p = quantized_gaussian_pmf(mech.quant.c_q / 2.0, mech)
+    return _finite(renyi_divergence(log_p, log_p[::-1], 1.0), mech)
 
 
 def epsilon_infinity(mech: MechanismSpec) -> float:

@@ -79,7 +79,7 @@ def fit_out_distribution(models: list[np.ndarray], x: np.ndarray, y: np.ndarray)
     """
     if len(models) < 2:
         raise ValueError(f"need at least 2 shadow models, got {len(models)}")
-    losses = np.stack([flsim.cross_entropy_losses(w, x, y) for w in models])
+    losses = flsim.cross_entropy_losses(np.asarray(models, dtype=float), x, y)
     return losses.mean(axis=0), np.maximum(losses.std(axis=0), SIGMA_FLOOR)
 
 

@@ -2,10 +2,10 @@
 
 Adding N(0, sigma^2) noise to a scalar and stochastically quantizing the
 result produces a discrete distribution over the k lattice levels; a
-``MechanismSpec`` names the noise and lattice. This module evaluates the
-log masses from log-space moments of Gaussian cells, so masses far in the
-tails stay finite; numeric quadrature is never used (the test suite keeps
-it as an independent oracle).
+``MechanismSpec`` names the noise and lattice. This module evaluates that
+pmf as a (k,) array of natural-log masses, from log-space moments of
+Gaussian cells, so masses far in the tails stay finite; numeric quadrature
+is never used (the test suite keeps it as an independent oracle).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .quantizer import QuantizerSpec
 __all__ = [
     "NoiseSpec",
     "MechanismSpec",
-    "LevelPmf",
     "log_cell_moments",
     "quantized_gaussian_pmf",
 ]
@@ -65,35 +64,6 @@ class MechanismSpec:
                 f"{self!r} is out of float range in noise units: "
                 f"delta/sigma = {spacing:g}, 2*c_q/sigma = {span:g}"
             )
-
-
-@dataclass(frozen=True)
-class LevelPmf:
-    """Natural-log masses over the k lattice levels for one mechanism input,
-    finite where the masses underflow; ``probs`` exponentiates them."""
-
-    spec: QuantizerSpec
-    log_probs: np.ndarray
-
-    def __post_init__(self):
-        log_probs = np.asarray(self.log_probs, dtype=float)
-        object.__setattr__(self, "log_probs", log_probs)
-        if log_probs.shape != (self.spec.k,):
-            raise ValueError(
-                f"pmf needs one probability per level: got {log_probs.shape} for k={self.spec.k}"
-            )
-        # NaN and +inf fail this test too, as does any log mass above 0
-        total = float(np.exp(log_probs).sum())
-        if not abs(total - 1.0) <= _NORM_TOL:
-            raise ValueError(f"pmf sums to {total!r}, not 1 within {_NORM_TOL}")
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
-
-    @property
-    def levels(self) -> np.ndarray:
-        return self.spec.levels()
 
 
 def _narrow_cell(a, b):
@@ -166,12 +136,14 @@ def log_cell_moments(lo, hi):
     return np.where(below, log_rev, log_fwd), np.where(below, log_fwd, log_rev)
 
 
-def quantized_gaussian_pmf(x: float, mech: MechanismSpec) -> LevelPmf:
-    """Distribution of quantize(x + N(0, sigma^2)) over the lattice levels.
+def quantized_gaussian_pmf(x: float, mech: MechanismSpec) -> np.ndarray:
+    """Natural-log masses of quantize(x + N(0, sigma^2)), one per lattice level.
 
-    The input must lie in [-c_q/2, +c_q/2], the range the privacy analysis
-    needs. Every term stays in log space, so each log mass is finite and
-    accurate even where the mass itself underflows.
+    Entry r is the log mass of ``mech.quant.levels()[r]``; ``np.exp`` gives
+    the masses. The input must lie in [-c_q/2, +c_q/2], the range the
+    privacy analysis needs. Every term stays in log space, so each log mass
+    is finite and accurate even where the mass itself underflows. Raises if
+    the masses do not sum to 1.
     """
     spec, sigma = mech.quant, mech.noise.sigma
     half = spec.c_q / 2.0
@@ -188,4 +160,8 @@ def quantized_gaussian_pmf(x: float, mech: MechanismSpec) -> LevelPmf:
     log_probs[:-1] = np.logaddexp(log_probs[:-1], log_rev)
     log_probs -= np.log(spec.delta / sigma)
     log_probs[[0, -1]] = np.logaddexp(log_probs[[0, -1]], special.log_ndtr([z[0], -z[-1]]))
-    return LevelPmf(spec, log_probs)
+    # NaN and +inf fail this test too, as does any log mass above 0
+    total = float(np.exp(log_probs).sum())
+    if not abs(total - 1.0) <= _NORM_TOL:
+        raise ValueError(f"pmf sums to {total!r}, not 1 within {_NORM_TOL}")
+    return log_probs

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import qdp.pmf
 from qdp.pmf import (
-    LevelPmf,
     MechanismSpec,
     NoiseSpec,
     log_cell_moments,
@@ -101,36 +101,45 @@ class TestLogCellMoments:
         assert fwd == rev == -np.inf
 
 
-class TestLevelPmfValidation:
-    def test_rejects_bad_shapes_and_values(self):
-        spec = QuantizerSpec(k=3, c_q=1.0)
-        with pytest.raises(ValueError, match="one probability per level"):
-            LevelPmf(spec, np.log([0.5, 0.5]))
-        # a negative mass has no log; its NaN fails the normalization check
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="sums to"):
-            LevelPmf(spec, np.log([-0.1, 0.6, 0.5]))
-        with pytest.raises(ValueError, match="sums to"):
-            LevelPmf(spec, np.log([0.5, 0.5, 0.5]))
+def pmf_from_cell_moments(monkeypatch, log_probs):
+    """quantized_gaussian_pmf on k = 3 levels with the cell moments patched so
+    that, before the normalization check, it assembles ``log_probs``."""
+    m = mech(0.01, 3)
+    # level r sums cell r's reverse and cell r - 1's forward moment, over
+    # delta/sigma; the clipped tails, ~exp(-5000), drop out
+    shift = np.log(m.quant.delta / m.noise.sigma)
+    t = np.asarray(log_probs, dtype=float) + shift
+    fake = lambda lo, hi: (np.array([-np.inf, t[2]]), t[:2])
+    monkeypatch.setattr(qdp.pmf, "log_cell_moments", fake)
+    with np.errstate(invalid="ignore"):  # a NaN moment warns in logaddexp
+        return quantized_gaussian_pmf(0.0, m)
+
+
+class TestNormalizationCheck:
+    def test_assembles_patched_cell_moments(self, monkeypatch):
+        want = np.log([0.25, 0.5, 0.25])
+        np.testing.assert_allclose(pmf_from_cell_moments(monkeypatch, want), want, rtol=1e-15)
 
     @pytest.mark.parametrize(
         "log_probs",
-        [[np.nan, 0.0, -np.inf], [np.inf, -np.inf, -np.inf], [np.log(2.0), -np.inf, -np.inf]],
+        [
+            [np.nan, 0.0, -np.inf],
+            [np.inf, -np.inf, -np.inf],
+            [np.log(2.0), -np.inf, -np.inf],
+            np.log([0.5, 0.5, 0.5]),
+        ],
     )
-    def test_rejects_nan_infinite_and_positive_log_masses(self, log_probs):
+    def test_rejects_nan_infinite_positive_and_unnormalized_log_masses(
+        self, monkeypatch, log_probs
+    ):
         with pytest.raises(ValueError, match="sums to"):
-            LevelPmf(QuantizerSpec(k=3, c_q=1.0), np.array(log_probs))
-
-    def test_probs_are_read_only_exponentiated_log_masses(self):
-        pmf = LevelPmf(QuantizerSpec(k=3, c_q=1.0), np.log([0.25, 0.5, 0.25]))
-        np.testing.assert_array_equal(pmf.probs, np.exp(pmf.log_probs))
-        with pytest.raises(AttributeError):
-            pmf.probs = np.array([1.0, 0.0, 0.0])
+            pmf_from_cell_moments(monkeypatch, log_probs)
 
 
 class TestQuantizedGaussianPmf:
     def test_two_level_symmetry(self):
-        pmf = quantized_gaussian_pmf(0.0, mech(1.0, 2))
-        np.testing.assert_allclose(pmf.probs, [0.5, 0.5], atol=1e-15)
+        log_p = quantized_gaussian_pmf(0.0, mech(1.0, 2))
+        np.testing.assert_allclose(np.exp(log_p), [0.5, 0.5], atol=1e-15)
 
     def test_rejects_out_of_range_input(self):
         with pytest.raises(ValueError, match=r"\[-0.5, 0.5\]"):
@@ -140,52 +149,52 @@ class TestQuantizedGaussianPmf:
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0])
     @pytest.mark.parametrize("k", [2, 3, 6, 17])
     def test_normalized_and_positive(self, x, sigma, k):
-        pmf = quantized_gaussian_pmf(x, mech(sigma, k))
-        assert abs(pmf.probs.sum() - 1.0) < 1e-9
-        assert np.all(pmf.probs > 0)
+        probs = np.exp(quantized_gaussian_pmf(x, mech(sigma, k)))
+        assert abs(probs.sum() - 1.0) < 1e-9
+        assert np.all(probs > 0)
 
     def test_mirror_symmetry(self):
         m = mech(0.8, 7, 2.0)
-        left = quantized_gaussian_pmf(-0.6, m)
-        right = quantized_gaussian_pmf(0.6, m)
-        np.testing.assert_allclose(left.probs, right.probs[::-1], rtol=1e-12, atol=1e-15)
+        left = np.exp(quantized_gaussian_pmf(-0.6, m))
+        right = np.exp(quantized_gaussian_pmf(0.6, m))
+        np.testing.assert_allclose(left, right[::-1], rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize(
         "x,sigma,k,c_q",
         [(0.0, 1.0, 2, 1.0), (0.25, 0.5, 4, 1.0), (0.5, 0.5, 8, 1.0), (-0.3, 2.0, 16, 1.0)],
     )
     def test_matches_quadrature_oracle(self, x, sigma, k, c_q):
-        pmf = quantized_gaussian_pmf(x, mech(sigma, k, c_q))
-        np.testing.assert_allclose(pmf.probs, quad_pmf(x, sigma, k, c_q), atol=1e-10)
+        probs = np.exp(quantized_gaussian_pmf(x, mech(sigma, k, c_q)))
+        np.testing.assert_allclose(probs, quad_pmf(x, sigma, k, c_q), atol=1e-10)
 
     def test_matches_monte_carlo(self):
         x, sigma, k, c_q = 0.5, 0.5, 4, 1.0
         n = 1_000_000
-        pmf = quantized_gaussian_pmf(x, mech(sigma, k, c_q))
+        probs = np.exp(quantized_gaussian_pmf(x, mech(sigma, k, c_q)))
         empirical = monte_carlo_quantized_gaussian(x, sigma, k, c_q, n, seed=2024)
-        se = np.sqrt(pmf.probs * (1 - pmf.probs) / n)
-        assert np.all(np.abs(empirical - pmf.probs) < 4 * se + 1e-9)
+        se = np.sqrt(probs * (1 - probs) / n)
+        assert np.all(np.abs(empirical - probs) < 4 * se + 1e-9)
 
     def test_vanishing_noise_recovers_two_point_rule(self):
         # x = 0.25 on a 3-level unit lattice: 0 w.p. 0.75, +1 w.p. 0.25
-        pmf = quantized_gaussian_pmf(0.25, mech(1e-6, 3))
-        np.testing.assert_allclose(pmf.probs, [0.0, 0.75, 0.25], atol=1e-6)
+        log_p = quantized_gaussian_pmf(0.25, mech(1e-6, 3))
+        np.testing.assert_allclose(np.exp(log_p), [0.0, 0.75, 0.25], atol=1e-6)
 
     @pytest.mark.parametrize("sigma", [1e-9, 0.01, 1e6])
     @pytest.mark.parametrize("k", [2, 8, 1024])
     def test_log_masses_finite_where_masses_underflow(self, sigma, k):
-        pmf = quantized_gaussian_pmf(0.5, mech(sigma, k))
-        assert np.all(np.isfinite(pmf.log_probs))
-        assert logsumexp(pmf.log_probs) == pytest.approx(0.0, abs=1e-9)
+        log_p = quantized_gaussian_pmf(0.5, mech(sigma, k))
+        assert np.all(np.isfinite(log_p))
+        assert logsumexp(log_p) == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize(
         "x,sigma,k", [(0.5, 0.01, 8), (0.1, 0.01, 16), (-0.05, 0.01, 11), (0.3, 1.0, 5)]
     )
     def test_log_masses_match_high_precision_oracle(self, x, sigma, k):
         # log masses down to -7000, each good to ~1e-15 of its magnitude
-        pmf = quantized_gaussian_pmf(x, mech(sigma, k))
+        log_p = quantized_gaussian_pmf(x, mech(sigma, k))
         want = np.array([float(v) for v in mp_log_level_probs(x, sigma, k, 1.0)])
-        np.testing.assert_allclose(pmf.log_probs, want, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(log_p, want, rtol=1e-14, atol=1e-14)
 
     def test_noise_spec_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
