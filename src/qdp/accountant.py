@@ -74,13 +74,19 @@ def _finite(budget: float, mech: MechanismSpec) -> float:
 
 def renyi_divergence(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> float:
     """Order-alpha Renyi divergence D_alpha(p || q) between two level pmfs,
-    each given as an array of natural-log masses over the same levels.
+    each given as a 1-D array (or sequence) of natural-log masses over the
+    same levels; any other shapes raise.
 
     The KL sum at alpha = 1, the log-mean-exponential form at finite alpha,
     the worst-case log ratio at alpha = inf, all on the log masses, so it
     stays accurate where masses underflow. A level where q vanishes but p
     does not makes it +inf; true zeros are never clamped.
     """
+    log_p, log_q = np.asarray(log_p, dtype=float), np.asarray(log_q, dtype=float)
+    if log_p.ndim != 1 or log_q.ndim != 1:
+        raise ValueError(
+            f"pmfs must be 1-D arrays of log masses, got shapes {log_p.shape} and {log_q.shape}"
+        )
     if len(log_p) != len(log_q):
         raise ValueError(f"pmfs have different numbers of levels: {len(log_p)} vs {len(log_q)}")
     if not alpha >= 1:
@@ -120,8 +126,9 @@ def epsilon_infinity(mech: MechanismSpec) -> float:
     it raises.
     """
     quant, sigma, half = mech.quant, mech.noise.sigma, mech.quant.c_q / 2.0
-    top_cell = (np.array([quant.level(quant.k - 2), quant.c_q]) + half) / sigma
-    log_fwd, _ = log_cell_moments(*top_cell)
+    # the topmost cell, shifted by the input -c_q/2 and in noise units
+    lo, hi = (quant.level(quant.k - 2) + half) / sigma, (quant.c_q + half) / sigma
+    log_fwd, _ = log_cell_moments(lo, hi)
     return _finite(math.log(quant.delta / sigma) - float(log_fwd), mech)
 
 

@@ -72,13 +72,14 @@ def _narrow_cell(a, b):
     # w - u over [0, w]; the terms fall faster than 1/n! for w b < 1, b >= |a|.
     # Both moments over w^2 phi(a): w^2 underflows long before w does.
     w = b - a
-    d_prev, d = np.zeros_like(a), np.ones_like(a)
-    fwd, rev = np.zeros_like(a), np.zeros_like(a)
+    aw, ww = a * w, w * w
+    fwd = rev = d_prev = 0.0 * w  # +0.0 in the cells' shape: w >= 0
+    d = d_prev + 1.0
     n = 0
-    while np.max(np.abs(d) + np.abs(d_prev)) > 1e-17:
-        fwd += d / (n + 2)
-        rev += d / ((n + 1) * (n + 2))
-        d_prev, d = d, (a * w * d + w * w * d_prev) * (-1.0 / (n + 1))
+    while np.count_nonzero(abs(d) + abs(d_prev) > 1e-17):
+        fwd = fwd + d / (n + 2)
+        rev = rev + d / ((n + 1) * (n + 2))
+        d_prev, d = d, (aw * d + ww * d_prev) * (-1.0 / (n + 1))
         n += 1
     return fwd, rev
 
@@ -89,13 +90,16 @@ def _tail_cell(a, b):
     # at z = a, b. The gap, ~1/z^2, loses ~z^2 ulps to cancellation: past
     # z = 1e4 its leading term is closer, and either way the loss is ~1 ulp
     # of log phi(a) = -z^2/2, which dominates the log moment there.
-    z = np.stack((a, b))
-    mills = _SQRT_HALF_PI * special.erfcx(z / _SQRT2)
-    gap = np.where(z > 1e4, 1.0 / np.maximum(z, 1.0) ** 2, 1.0 - z * mills)
+    mills_a = _SQRT_HALF_PI * special.erfcx(a / _SQRT2)
+    mills_b = _SQRT_HALF_PI * special.erfcx(b / _SQRT2)
+    gap_a, gap_b = 1.0 - a * mills_a, 1.0 - b * mills_b
+    if np.count_nonzero(b > 1e4):  # b >= a, so no cell is far unless some b is
+        gap_a = np.where(a > 1e4, 1.0 / np.square(np.maximum(a, 1.0)), gap_a)
+        gap_b = np.where(b > 1e4, 1.0 / np.square(np.maximum(b, 1.0)), gap_b)
     w = b - a
     decay = np.exp(-0.5 * w * (a + b))  # phi(b) / phi(a)
-    fwd = gap[0] - decay * (gap[1] + w * mills[1])
-    return fwd, w * (mills[0] - decay * mills[1]) - fwd
+    fwd = gap_a - decay * (gap_b + w * mills_b)
+    return fwd, w * (mills_a - decay * mills_b) - fwd
 
 
 def _mean_cell(a, b):
@@ -115,25 +119,51 @@ def log_cell_moments(lo, hi):
     cells, where those closed forms would cancel, a Taylor series in the width
     that factors out the squared width too. A point so far out that its square
     overflows gives phi = 0 and a log moment of -inf, the float limit.
+
+    Each branch, and the mirroring, runs only on the cells that need it: a
+    branch that takes every cell runs on the whole input without masking,
+    and a 0-d input stays a numpy scalar throughout. The result does not
+    depend on which other cells share the call.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    lo, hi = np.asarray(lo, dtype=float)[()], np.asarray(hi, dtype=float)[()]
+    if lo.shape != hi.shape:
+        lo, hi = np.broadcast_arrays(lo, hi)
     below = lo + hi < 0
-    a, b = np.where(below, -hi, lo), np.where(below, -lo, hi)  # now b >= |a|
+    mirrored = np.count_nonzero(below)
+    a, b = (np.where(below, -hi, lo), np.where(below, -lo, hi)) if mirrored else (lo, hi)
+    # now b >= |a|
     with np.errstate(over="ignore", divide="ignore"):
         w = b - a
         narrow = (w < _NARROW_CELL) & (w * b < 1.0)
+        n_narrow = np.count_nonzero(narrow)
         at_mean = ~narrow & (a < 0)
-        tail = ~narrow & ~at_mean
-        fwd, rev = np.empty(a.shape), np.empty(a.shape)
-        for branch, mask in (_narrow_cell, narrow), (_tail_cell, tail), (_mean_cell, at_mean):
-            if mask.any():
-                fwd[mask], rev[mask] = branch(a[mask], b[mask])
-        log_scale = np.where(at_mean, 0.0, -0.5 * a * a - _LOG_SQRT_2PI)  # log phi(a)
-        if narrow.any():
-            log_scale += 2.0 * np.log(w, out=np.zeros(w.shape), where=narrow)
+        n_mean, size = np.count_nonzero(at_mean), np.size(a)
+        log_scale = -0.5 * a * a - _LOG_SQRT_2PI  # log phi(a)
+        if n_narrow == size:
+            fwd, rev = _narrow_cell(a, b)
+            log_scale = log_scale + 2.0 * np.log(w)
+        elif n_mean == size:
+            fwd, rev = _mean_cell(a, b)
+            log_scale = 0.0
+        elif not n_narrow + n_mean:
+            fwd, rev = _tail_cell(a, b)
+        else:
+            fwd, rev = np.empty(a.shape), np.empty(a.shape)
+            tail = ~(narrow | at_mean)
+            counts = n_narrow, size - n_narrow - n_mean, n_mean
+            masks = narrow, tail, at_mean
+            for branch, mask, count in zip((_narrow_cell, _tail_cell, _mean_cell), masks, counts):
+                if count:
+                    fwd[mask], rev[mask] = branch(a[mask], b[mask])
+            if n_mean:
+                log_scale = np.where(at_mean, 0.0, log_scale)
+            if n_narrow:
+                log_scale += 2.0 * np.log(w, out=np.zeros(w.shape), where=narrow)
         log_fwd = log_scale + np.log(np.maximum(fwd, 0.0))
         log_rev = log_scale + np.log(np.maximum(rev, 0.0))
-    return np.where(below, log_rev, log_fwd), np.where(below, log_fwd, log_rev)
+    if not mirrored:
+        return log_fwd, log_rev
+    return np.where(below, log_rev, log_fwd)[()], np.where(below, log_fwd, log_rev)[()]
 
 
 def quantized_gaussian_pmf(x: float, mech: MechanismSpec) -> np.ndarray:
@@ -156,10 +186,12 @@ def quantized_gaussian_pmf(x: float, mech: MechanismSpec) -> np.ndarray:
     log_fwd, log_rev = log_cell_moments(z[:-1], z[1:])
     # level r takes the mass rounded up from cell r - 1 and down from cell r,
     # and the end levels also take the noise clipped past them
-    log_probs = np.append(-np.inf, log_fwd)
-    log_probs[:-1] = np.logaddexp(log_probs[:-1], log_rev)
+    log_probs = np.empty(spec.k)
+    log_probs[0], log_probs[1:] = -np.inf, log_fwd
+    np.logaddexp(log_probs[:-1], log_rev, out=log_probs[:-1])
     log_probs -= np.log(spec.delta / sigma)
-    log_probs[[0, -1]] = np.logaddexp(log_probs[[0, -1]], special.log_ndtr([z[0], -z[-1]]))
+    log_probs[0] = np.logaddexp(log_probs[0], special.log_ndtr(z[0]))
+    log_probs[-1] = np.logaddexp(log_probs[-1], special.log_ndtr(-z[-1]))
     # NaN and +inf fail this test too, as does any log mass above 0
     total = float(np.exp(log_probs).sum())
     if not abs(total - 1.0) <= _NORM_TOL:

@@ -75,6 +75,21 @@ class TestRenyiDivergence:
         with pytest.raises(ValueError, match="different numbers of levels"):
             renyi_divergence(p, q, 2.0)
 
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_sequences_match_arrays(self, alpha):
+        p, q = pmf_of([0.2, 0.5, 0.3]), pmf_of([0.4, 0.4, 0.2])
+        want = renyi_divergence(p, q, alpha)
+        assert renyi_divergence(list(p), tuple(q), alpha) == want
+        assert renyi_divergence([math.log(0.5)] * 2, [math.log(0.5)] * 2, alpha) == 0.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, math.inf])
+    def test_rejects_arrays_that_are_not_1d(self, alpha):
+        p = two_level_pmf(0.5)[None, :]
+        with pytest.raises(ValueError, match=r"1-D.*\(1, 2\) and \(1, 2\)"):
+            renyi_divergence(p, p, alpha)
+        with pytest.raises(ValueError, match=r"1-D.*\(\) and \(2,\)"):
+            renyi_divergence(math.log(0.5), two_level_pmf(0.5), alpha)
+
     def test_explicit_infinity_when_q_vanishes_on_support(self):
         p = pmf_of([0.5, 0.5, 0.0])
         q = pmf_of([0.5, 0.0, 0.5])

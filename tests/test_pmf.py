@@ -69,7 +69,66 @@ class TestPartialFirstMoment:
         assert partial_first_moment(a, a + width, mu, sigma) >= 0.0
 
 
+def _exp10(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def _cells(lo, width):
+    return st.tuples(lo, width).map(lambda c: (c[0], c[0] + c[1]))
+
+
+# one strategy per branch of the kernel: a narrow cell anywhere it stays
+# narrow, a wide cell above the mean (beyond 1e4 too), a wide cell holding the
+# mean, and the mirror image of a wide cell above the mean
+NARROW = _cells(st.floats(-50.0, 50.0), _exp10(-12.0, -2.1))
+TAIL = _cells(_exp10(-4.0, 4.5), _exp10(-1.9, 2.0))
+AT_MEAN = st.tuples(st.floats(0.0, 1.0), _exp10(-1.9, 1.5)).map(
+    lambda c: (-c[0] * c[1], (1.0 - c[0]) * c[1])
+)
+BELOW = TAIL.map(lambda c: (-c[1], -c[0]))
+CELL_KINDS = (NARROW, TAIL, AT_MEAN, BELOW)
+MIXED_CELLS = st.lists(st.one_of(*CELL_KINDS), min_size=1, max_size=24)
+ONE_KIND_CELLS = st.sampled_from(CELL_KINDS).flatmap(
+    lambda kind: st.lists(kind, min_size=1, max_size=24)
+)
+
+
+def _per_cell(lo, hi):
+    """log_cell_moments one 0-d cell at a time."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    pairs = [log_cell_moments(l, h) for l, h in zip(lo.ravel(), hi.ravel())]
+    return tuple(np.reshape([p[i] for p in pairs], lo.shape) for i in range(2))
+
+
 class TestLogCellMoments:
+    @given(st.one_of(MIXED_CELLS, ONE_KIND_CELLS))
+    @settings(max_examples=300, deadline=None)
+    def test_elementwise_bit_for_bit(self, cells):
+        # which branches run, and whether they run masked, depends on the
+        # other cells of a call; no cell's moments may
+        lo, hi = np.array(cells).T
+        fwd, rev = log_cell_moments(lo, hi)
+        want_fwd, want_rev = _per_cell(lo, hi)
+        np.testing.assert_array_equal(fwd, want_fwd)
+        np.testing.assert_array_equal(rev, want_rev)
+        if len(cells) % 2 == 0:
+            shape = (2, len(cells) // 2)
+            fwd2, rev2 = log_cell_moments(lo.reshape(shape), hi.reshape(shape))
+            np.testing.assert_array_equal(fwd2, want_fwd.reshape(shape))
+            np.testing.assert_array_equal(rev2, want_rev.reshape(shape))
+
+    @given(
+        st.floats(-30.0, 30.0),
+        st.lists(_exp10(-12.0, 1.5), min_size=1, max_size=24),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_lo_broadcasts_bit_for_bit(self, lo, widths):
+        hi = lo + np.array(widths)
+        fwd, rev = log_cell_moments(lo, hi)
+        want_fwd, want_rev = _per_cell(lo, hi)
+        np.testing.assert_array_equal(fwd, want_fwd)
+        np.testing.assert_array_equal(rev, want_rev)
+
     @given(
         st.floats(-6.0, 4.0).map(lambda e: 10.0**e),
         st.sampled_from([-1.0, 1.0]),
