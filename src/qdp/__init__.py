@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 from .accountant import (
     DpPoint,
     RdpPoint,
-    SweepRow,
-    budget_sweep,
     calibrate_sigma,
     compose,
     epsilon_infinity,
@@ -36,7 +34,6 @@ __all__ = [
     "RdpPoint",
     "DpPoint",
     "MechanismSpec",
-    "SweepRow",
     "renyi_divergence",
     "epsilon_one",
     "epsilon_infinity",
@@ -44,7 +41,6 @@ __all__ = [
     "compose",
     "rdp_to_dp",
     "calibrate_sigma",
-    "budget_sweep",
     "FlRunConfig",
     "RunResult",
     "train",

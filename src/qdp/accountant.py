@@ -16,13 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .pmf import MechanismSpec, NoiseSpec, log_cell_moments, quantized_gaussian_pmf
-from .quantizer import QuantizerSpec
+from .pmf import MechanismSpec, log_cell_moments, quantized_gaussian_pmf
 
 __all__ = [
     "RdpPoint",
     "DpPoint",
-    "SweepRow",
     "renyi_divergence",
     "epsilon_one",
     "epsilon_infinity",
@@ -30,7 +28,6 @@ __all__ = [
     "compose",
     "rdp_to_dp",
     "calibrate_sigma",
-    "budget_sweep",
 ]
 
 # Orders used when calibrating noise; standard accountant grid.
@@ -204,34 +201,3 @@ def calibrate_sigma(target: DpPoint, rounds: int, sensitivity: float) -> float:
     ).epsilon > target.epsilon:
         sigma = math.nextafter(sigma, math.inf)
     return sigma
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One line of a budget sweep: both quantized budgets plus the baseline."""
-
-    k: int
-    eps1: float
-    eps_inf: float
-    eps_gauss_alpha1: float
-
-
-def budget_sweep(k_values, noise: NoiseSpec, c_q: float) -> list[SweepRow]:
-    """Budgets for each quantization level, sorted by k.
-
-    The Gaussian column is the alpha = 1 baseline c_q^2/(2*sigma^2) with the
-    sensitivity convention matching the quantized analysis.
-    """
-    gauss = gaussian_rdp_baseline(c_q, noise.sigma, 1.0).epsilon
-    rows = []
-    for k in sorted(int(k) for k in k_values):
-        mech = MechanismSpec(noise=noise, quant=QuantizerSpec(k=k, c_q=c_q))
-        rows.append(
-            SweepRow(
-                k=k,
-                eps1=epsilon_one(mech),
-                eps_inf=epsilon_infinity(mech),
-                eps_gauss_alpha1=gauss,
-            )
-        )
-    return rows

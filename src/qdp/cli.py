@@ -81,12 +81,18 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rows = accountant.budget_sweep(args.k_list, NoiseSpec(sigma=args.sigma), args.cq)
+    """Both budgets per level, sorted by k, beside the alpha = 1 Gaussian
+    baseline c_q^2/(2 sigma^2), which has the same sensitivity convention."""
+    noise = NoiseSpec(sigma=args.sigma)
+    gauss = accountant.gaussian_rdp_baseline(args.cq, args.sigma, 1.0).epsilon
+    rows = []
+    for k in sorted(args.k_list):
+        mech = accountant.MechanismSpec(noise=noise, quant=QuantizerSpec(k=k, c_q=args.cq))
+        rows.append([k, accountant.epsilon_one(mech), accountant.epsilon_infinity(mech), gauss])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "eps1", "eps_inf", "eps_gauss_alpha1"])
-        for row in rows:
-            writer.writerow([row.k, repr(row.eps1), repr(row.eps_inf), repr(row.eps_gauss_alpha1)])
+        writer.writerows(rows)  # a float is written as its repr
     return 0
 
 

@@ -99,10 +99,10 @@ def attack_accuracy(scores, is_member) -> tuple[float, list[tuple[float, float]]
     """Max balanced accuracy over `score >= threshold` rules, and their ROC sweep.
 
     Takes positional arrays of scores and membership flags; requires a
-    balanced audit set. One sort gives, for every distinct score used as
-    threshold, the members and non-members scoring below it, so the sweep
-    is O(n log n). ROC points run from (0, 0) through the thresholds in
-    descending order as (FPR, TPR).
+    balanced audit set with at least one member. One sort gives, for every
+    distinct score used as threshold, the members and non-members scoring
+    below it, so the sweep is O(n log n). ROC points run from (0, 0)
+    through the thresholds in descending order as (FPR, TPR).
     """
     s = np.asarray(scores, dtype=float)
     truth = np.asarray(is_member, dtype=bool)
@@ -112,9 +112,10 @@ def attack_accuracy(scores, is_member) -> tuple[float, list[tuple[float, float]]
         )
     n_members = int(truth.sum())
     n_nonmembers = len(truth) - n_members
-    if n_members != n_nonmembers:
+    if n_members != n_nonmembers or not n_members:
         raise ValueError(
-            f"audit set must be balanced: {n_members} members vs {n_nonmembers} non-members"
+            f"audit set must be balanced and nonempty: "
+            f"{n_members} members vs {n_nonmembers} non-members"
         )
     order = np.argsort(s, kind="stable")
     ranked = s[order]

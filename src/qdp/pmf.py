@@ -81,7 +81,7 @@ def _narrow_cell(a, b):
         rev = rev + d / ((n + 1) * (n + 2))
         d_prev, d = d, (aw * d + ww * d_prev) * (-1.0 / (n + 1))
         n += 1
-    return fwd, rev
+    return fwd, rev, -0.5 * a * a - _LOG_SQRT_2PI + 2.0 * np.log(w)
 
 
 def _tail_cell(a, b):
@@ -99,26 +99,28 @@ def _tail_cell(a, b):
     w = b - a
     decay = np.exp(-0.5 * w * (a + b))  # phi(b) / phi(a)
     fwd = gap_a - decay * (gap_b + w * mills_b)
-    return fwd, w * (mills_a - decay * mills_b) - fwd
+    return fwd, w * (mills_a - decay * mills_b) - fwd, -0.5 * a * a - _LOG_SQRT_2PI
 
 
 def _mean_cell(a, b):
-    # The cell holding the mean; phi(a) - phi(b), with a nearer the mean than b
+    # The cell holding the mean, nothing factored out; phi(a) - phi(b), with a nearer the mean
     drop = -np.exp(-0.5 * a * a - _LOG_SQRT_2PI) * np.expm1(-0.5 * (b - a) * (b + a))
     mass = special.ndtr(b) - special.ndtr(a)
-    return drop - a * mass, b * mass - drop
+    return drop - a * mass, b * mass - drop, 0.0
 
 
 def log_cell_moments(lo, hi):
     """Logs of int phi(s) (s - lo) ds and int phi(s) (hi - s) ds over [lo, hi].
 
-    Elementwise, phi the standard normal density. A cell centred below the
-    mean is the mirror image of one above it, with the moments swapped.
-    Cells above the mean factor out phi(lo), so tail masses keep their full
-    exponent; the cell holding the mean uses CDF differences, and narrow
-    cells, where those closed forms would cancel, a Taylor series in the width
-    that factors out the squared width too. A point so far out that its square
-    overflows gives phi = 0 and a log moment of -inf, the float limit.
+    Elementwise, phi the standard normal density; a cell with hi < lo or a
+    NaN edge raises. A cell centred below the mean is the mirror image of
+    one above it, with the moments swapped. One of three branches takes each
+    cell and returns its moments over the log scale it factored out: cells
+    above the mean factor out phi(lo), so tail masses keep their full
+    exponent; the cell holding the mean uses CDF differences; and narrow
+    cells, where those closed forms would cancel, a Taylor series in the
+    width that factors out the squared width too. A point so far out that
+    its square overflows gives phi = 0 and a log moment of -inf.
 
     Each branch, and the mirroring, runs only on the cells that need it: a
     branch that takes every cell runs on the whole input without masking,
@@ -133,32 +135,26 @@ def log_cell_moments(lo, hi):
     a, b = (np.where(below, -hi, lo), np.where(below, -lo, hi)) if mirrored else (lo, hi)
     # now b >= |a|
     with np.errstate(over="ignore", divide="ignore"):
-        w = b - a
+        w, size = b - a, np.size(a)
+        ordered = w >= 0  # false where hi < lo or an edge is NaN; 0-d skips the reduction
+        if not (np.count_nonzero(ordered) == size if ordered.shape else ordered):
+            bad = tuple(np.argwhere(~ordered)[0].tolist())
+            raise ValueError(f"cell [{lo[bad]}, {hi[bad]}] at index {bad} is reversed or NaN")
         narrow = (w < _NARROW_CELL) & (w * b < 1.0)
-        n_narrow = np.count_nonzero(narrow)
         at_mean = ~narrow & (a < 0)
-        n_mean, size = np.count_nonzero(at_mean), np.size(a)
-        log_scale = -0.5 * a * a - _LOG_SQRT_2PI  # log phi(a)
-        if n_narrow == size:
-            fwd, rev = _narrow_cell(a, b)
-            log_scale = log_scale + 2.0 * np.log(w)
-        elif n_mean == size:
-            fwd, rev = _mean_cell(a, b)
-            log_scale = 0.0
-        elif not n_narrow + n_mean:
-            fwd, rev = _tail_cell(a, b)
-        else:
-            fwd, rev = np.empty(a.shape), np.empty(a.shape)
-            tail = ~(narrow | at_mean)
-            counts = n_narrow, size - n_narrow - n_mean, n_mean
-            masks = narrow, tail, at_mean
-            for branch, mask, count in zip((_narrow_cell, _tail_cell, _mean_cell), masks, counts):
-                if count:
-                    fwd[mask], rev[mask] = branch(a[mask], b[mask])
-            if n_mean:
-                log_scale = np.where(at_mean, 0.0, log_scale)
-            if n_narrow:
-                log_scale += 2.0 * np.log(w, out=np.zeros(w.shape), where=narrow)
+        left, out = size, None
+        for branch, mask in (_narrow_cell, narrow), (_mean_cell, at_mean), (_tail_cell, None):
+            count = left if mask is None else np.count_nonzero(mask)  # the tail is the rest
+            if count == size:
+                out = branch(a, b)
+                break
+            if count:
+                mask = ~(narrow | at_mean) if mask is None else mask
+                out = out or (np.empty(a.shape), np.empty(a.shape), np.empty(a.shape))
+                for part, value in zip(out, branch(a[mask], b[mask])):
+                    part[mask] = value
+                left -= count
+        fwd, rev, log_scale = out
         log_fwd = log_scale + np.log(np.maximum(fwd, 0.0))
         log_rev = log_scale + np.log(np.maximum(rev, 0.0))
     if not mirrored:

@@ -8,6 +8,7 @@ is the L2 clip applied to an update before it is noised.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,9 @@ def clip_vector(w, radius: float) -> np.ndarray:
     """Scale each row of ``w`` onto the L2 ball of ``radius``; shorter rows pass through.
 
     A row is a vector along the last axis; a 1-D ``w`` is one row. Returns
-    w * min(1, radius/||w||) row by row, which preserves direction. The zero
-    vector is a fixed point.
+    w * min(1, radius/||w||) row by row, which preserves direction, for any
+    finite row, even where ||w||^2 leaves the float range. The zero vector
+    is a fixed point.
     """
     if not radius > 0:
         raise ValueError(f"clip radius must be positive, got {radius}")
@@ -60,8 +62,19 @@ def clip_vector(w, radius: float) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise ValueError("cannot clip a vector with non-finite entries")
     # a per-row dot product, so each norm is what np.linalg.norm gives the row
-    norm = np.sqrt(w[..., None, :] @ w[..., :, None])[..., 0]
-    return w * (radius / np.maximum(norm, radius))
+    with np.errstate(over="ignore"):
+        square = (w[..., None, :] @ w[..., :, None])[..., 0]
+        clipped = w * (radius / np.maximum(np.sqrt(square), radius))
+        # a nonzero row whose squared norm overflows or underflows is redone over its largest entry
+        redo = (square == np.inf) | (square < sys.float_info.min)
+        if redo.any():
+            peak = np.max(np.abs(w), axis=-1, keepdims=True)
+            redo = (redo & (peak > 0))[..., 0]
+            unit = w[redo] / peak[redo]
+            norm = np.linalg.norm(unit, axis=-1, keepdims=True)  # in [1, sqrt(d)]
+            inside = norm <= radius / peak[redo]
+            clipped[redo] = np.where(inside, w[redo], unit * (radius / norm))
+    return clipped
 
 
 def quantize(w, spec: QuantizerSpec, uniforms) -> np.ndarray:

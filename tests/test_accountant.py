@@ -10,7 +10,6 @@ from qdp.accountant import (
     DpPoint,
     MechanismSpec,
     RdpPoint,
-    budget_sweep,
     calibrate_sigma,
     compose,
     epsilon_infinity,
@@ -399,22 +398,6 @@ class TestCalibrateSigma:
         # conversion slack alone (log 2 / 255 = 0.0027 at alpha = 256) exceeds the target
         with pytest.raises(ValueError, match="unreachable"):
             calibrate_sigma(DpPoint(0.001, 0.5), rounds=1, sensitivity=1.0)
-
-
-class TestBudgetSweep:
-    def test_single_level_matches_direct_calls(self):
-        noise = NoiseSpec(1.0)
-        (row,) = budget_sweep([2], noise, 1.0)
-        assert row.k == 2
-        assert row.eps1 == epsilon_one(mech(1.0, 2))
-        assert row.eps_inf == epsilon_infinity(mech(1.0, 2))
-        assert row.eps_gauss_alpha1 == 0.5
-
-    def test_rows_sorted_and_deterministic(self):
-        noise = NoiseSpec(1.0)
-        rows = budget_sweep([16, 2, 8, 4], noise, 1.0)
-        assert [r.k for r in rows] == [2, 4, 8, 16]
-        assert rows == budget_sweep([2, 4, 8, 16], noise, 1.0)
 
 
 class TestDivergenceBounds:

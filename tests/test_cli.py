@@ -106,7 +106,7 @@ class TestSweep:
         code, _, _ = run(
             capsys,
             "sweep",
-            "--k-list", "2,4,8,16,32,64",
+            "--k-list", "16,2,64,8,4,32",
             "--cq", "1",
             "--sigma", "1",
             "--out", str(out_csv),
@@ -121,19 +121,27 @@ class TestSweep:
         assert all(float(r["eps_gauss_alpha1"]) == 0.5 for r in rows)
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
-        args = ["sweep", "--k-list", "8,2", "--cq", "1", "--sigma", "0.5"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        # the order of --k-list does not matter either
+        paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
+        for k_list, path in zip(("8,2", "8,2", "2,8"), paths):
+            args = ["sweep", "--k-list", k_list, "--cq", "1", "--sigma", "0.5", "--out", str(path)]
+            assert main(args) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
-    def test_single_level_consistent_with_budget(self, capsys, tmp_path):
-        out_csv = tmp_path / "one.csv"
-        run(capsys, "sweep", "--k-list", "4", "--cq", "1", "--sigma", "1", "--out", str(out_csv))
-        with open(out_csv) as fh:
-            (row,) = list(csv.DictReader(fh))
-        _, budget_out, _ = run(capsys, "budget", "--k", "4", "--cq", "1", "--sigma", "1")
-        assert float(row["eps1"]) == pytest.approx(float(budget_out), rel=1e-11)
+    def test_rows_match_budget_command(self, capsys, tmp_path):
+        # each row holds the library's budgets exactly, and `qdp budget` prints them
+        out_csv = tmp_path / "rows.csv"
+        argv = ["sweep", "--k-list", "16,4,3", "--cq", "1", "--sigma", "1", "--out", str(out_csv)]
+        assert run(capsys, *argv)[0] == 0
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
+        assert [row["k"] for row in rows] == ["3", "4", "16"]
+        for row in rows:
+            mech = MechanismSpec(NoiseSpec(1.0), QuantizerSpec(k=int(row["k"]), c_q=1.0))
+            budgets = (("eps1", "1", epsilon_one), ("eps_inf", "inf", epsilon_infinity))
+            for column, alpha, fn in budgets:
+                assert float(row[column]) == fn(mech)
+                argv = ["budget", "--k", row["k"], "--cq", "1", "--sigma", "1", "--alpha", alpha]
+                assert run(capsys, *argv)[1] == f"{float(row[column]):.12g}\n"
 
     def test_unwritable_path_fails(self, capsys, tmp_path):
         code, _, err = run(

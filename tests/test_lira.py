@@ -155,6 +155,10 @@ class TestAttackAccuracy:
         assert fprs == sorted(fprs)
         assert tprs == sorted(tprs)
 
+    def test_empty_audit_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            attack_accuracy([], [])
+
     def test_mismatched_ids_rejected(self):
         with pytest.raises(ValueError, match="same length"):
             attack_accuracy(np.array([0.5]), np.array([True, False]))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,21 @@ class TestLogCellMoments:
     def test_empty_cell_has_no_mass(self):
         fwd, rev = log_cell_moments(1.5, 1.5)
         assert fwd == rev == -np.inf
+
+    @pytest.mark.parametrize(
+        "lo,hi,message",
+        [
+            (1.0, 0.5, "[1.0, 0.5] at index ()"),  # narrow if it were ordered
+            (10.0, -9.0, "[10.0, -9.0] at index ()"),  # wide, across the mean
+            ([0.0, -0.5, 2.0], [1.0, -1.0, 3.0], "[-0.5, -1.0] at index (1,)"),
+            ([[0, 1], [2, 3]], [[1, 2], [np.nan, 4]], "[2.0, nan] at index (1, 0)"),
+            (np.nan, 1.0, "[nan, 1.0] at index ()"),
+        ],
+        ids=["0-d", "0-d across the mean", "row", "2-d nan edge", "0-d nan edge"],
+    )
+    def test_reversed_or_nan_cell_raises(self, lo, hi, message):
+        with pytest.raises(ValueError, match=re.escape(f"cell {message} is reversed or NaN")):
+            log_cell_moments(lo, hi)
 
 
 def pmf_from_cell_moments(monkeypatch, log_probs):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,20 +73,44 @@ class TestClipVector:
             np.testing.assert_array_equal(clipped, expected)
 
     @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
         st.floats(1e-3, 1e3),
     )
-    @settings(max_examples=100)
+    @settings(max_examples=300)
     def test_norm_bound_and_direction(self, values, radius):
+        # over the whole finite float range; math.hypot neither overflows nor
+        # underflows before its result does
         w = np.array(values)
         clipped = clip_vector(w, radius)
-        assert np.linalg.norm(clipped) <= radius * (1 + 1e-12)
-        if np.linalg.norm(w) <= radius:
+        assert math.hypot(*clipped) <= radius * (1 + 1e-12)
+        if math.hypot(*w) <= radius:
             np.testing.assert_array_equal(clipped, w)
         else:
-            # same direction: clipped is a positive multiple of w
-            scale = radius / np.linalg.norm(w)
-            np.testing.assert_allclose(clipped, w * scale)
+            # same direction: the unit vectors agree, up to entries that are
+            # subnormal in the output (below 1e-305 of the row at radius >= 1e-3)
+            assert math.hypot(*clipped) == pytest.approx(radius, rel=1e-12)
+            unit = w / np.max(np.abs(w))
+            np.testing.assert_allclose(
+                clipped / radius, unit / math.hypot(*unit), rtol=1e-12, atol=1e-300
+            )
+
+    @pytest.mark.parametrize(
+        "w,radius,expected",
+        [
+            # ||w||^2 overflows
+            ([1e200, 1e200], 1.0, [0.5**0.5, 0.5**0.5]),
+            ([1.5e308, -1.5e308, 1e-300], 2.0, [2**0.5, -(2**0.5), 0.0]),  # so does ||w||
+            # ||w||^2 underflows to 0, with ||w|| above and below the radius
+            ([1e-200, 1e-200], 1e-250, [0.5**0.5 * 1e-250, 0.5**0.5 * 1e-250]),
+            ([1e-200, 1e-200], 1.0, [1e-200, 1e-200]),
+        ],
+    )
+    def test_norm_out_of_float_range(self, w, radius, expected):
+        np.testing.assert_allclose(clip_vector(w, radius), expected, rtol=1e-15)
+        # as a row among ordinary rows, which keep their own clip
+        rows = np.array([w, [3.0 * radius, 4.0 * radius] + [0.0] * (len(w) - 2)])
+        want = [expected, rows[1] / 5.0]
+        np.testing.assert_allclose(clip_vector(rows, radius), want, rtol=1e-15)
 
 
 class TestQuantize:
