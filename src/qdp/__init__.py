@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 
 from .accountant import (
     DpPoint,
-    RdpPoint,
     calibrate_sigma,
-    compose,
     epsilon_infinity,
     epsilon_one,
     gaussian_rdp_baseline,
@@ -31,14 +29,12 @@ __all__ = [
     "quantize",
     "NoiseSpec",
     "quantized_gaussian_pmf",
-    "RdpPoint",
     "DpPoint",
     "MechanismSpec",
     "renyi_divergence",
     "epsilon_one",
     "epsilon_infinity",
     "gaussian_rdp_baseline",
-    "compose",
     "rdp_to_dp",
     "calibrate_sigma",
     "FlRunConfig",

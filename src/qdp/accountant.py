@@ -3,9 +3,12 @@
 One kernel evaluates every divergence between level distributions, on
 their log masses. The alpha = 1 budget is the KL divergence between the
 distributions at the two extremal inputs +-c_q/2; the alpha -> infinity
-budget is the paper's closed-form worst-case log-ratio bound. A Gaussian
-baseline, additive composition, RDP-to-DP conversion, and noise
-calibration complete a small accounting toolkit. Epsilons are in nats.
+budget is the paper's closed-form worst-case log-ratio bound. An RDP
+curve is an array of epsilons over an array of orders: T rounds of one
+mechanism compose to ``T * curve``, two mechanisms on one order grid to
+``curve_a + curve_b``. The Gaussian baseline curve, RDP-to-DP conversion
+of a curve, and noise calibration complete a small accounting toolkit.
+Epsilons are in nats.
 """
 
 from __future__ import annotations
@@ -19,13 +22,11 @@ from scipy import special
 from .pmf import MechanismSpec, log_cell_moments, quantized_gaussian_pmf
 
 __all__ = [
-    "RdpPoint",
     "DpPoint",
     "renyi_divergence",
     "epsilon_one",
     "epsilon_infinity",
     "gaussian_rdp_baseline",
-    "compose",
     "rdp_to_dp",
     "calibrate_sigma",
 ]
@@ -35,22 +36,8 @@ DEFAULT_ALPHA_GRID = (1.25, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 25
 
 
 @dataclass(frozen=True)
-class RdpPoint:
-    """(alpha, epsilon) Renyi-DP guarantee; alpha may be math.inf."""
-
-    alpha: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not self.alpha >= 1:
-            raise ValueError(f"Renyi order must be >= 1, got {self.alpha}")
-        if not self.epsilon >= 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-
-
-@dataclass(frozen=True)
 class DpPoint:
-    """(epsilon, delta) approximate-DP guarantee."""
+    """(epsilon, delta) approximate-DP guarantee: the target of calibrate_sigma."""
 
     epsilon: float
     delta: float
@@ -129,46 +116,45 @@ def epsilon_infinity(mech: MechanismSpec) -> float:
     return _finite(math.log(quant.delta / sigma) - float(log_fwd), mech)
 
 
-def gaussian_rdp_baseline(sensitivity: float, sigma: float, alpha: float) -> RdpPoint:
-    """RDP of the unquantized Gaussian mechanism: epsilon = alpha*s^2/(2*sigma^2).
-
-    At alpha = inf the budget is unbounded and is reported as such.
+def gaussian_rdp_baseline(sensitivity: float, sigma: float, alphas) -> np.ndarray:
+    """RDP curve of the unquantized Gaussian mechanism, alpha*s^2/(2*sigma^2)
+    at each order: the shape of ``alphas`` (a scalar order gives a numpy
+    scalar), inf at alpha = inf, and zero at every order for s = 0. T rounds
+    compose to ``T * curve``. Raises where the curve leaves the float range.
     """
-    if sensitivity < 0:
-        raise ValueError(f"sensitivity must be nonnegative, got {sensitivity}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if alpha == math.inf:
-        return RdpPoint(alpha=math.inf, epsilon=math.inf)
-    return RdpPoint(alpha=alpha, epsilon=alpha * sensitivity**2 / (2.0 * sigma**2))
+    if not 0 <= sensitivity < math.inf:
+        raise ValueError(f"sensitivity must be finite and nonnegative, got {sensitivity}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    alphas = np.asarray(alphas, dtype=float)
+    if not (alphas >= 1).all():
+        raise ValueError(f"Renyi orders must be >= 1, got {alphas}")
+    if sensitivity == 0:  # the output ignores the input
+        return np.zeros_like(alphas)[()]
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return alphas * sensitivity**2 / (2.0 * sigma**2)
+    except (OverflowError, FloatingPointError):
+        raise ValueError(
+            f"the Gaussian budget at s = {sensitivity!r}, sigma = {sigma!r} is out of float range"
+        ) from None
 
 
-def compose(points: list[RdpPoint]) -> RdpPoint:
-    """Additive RDP composition of mechanisms sharing one Renyi order, summed exactly."""
-    if not points:
-        raise ValueError("cannot compose an empty list of RDP points")
-    alpha = points[0].alpha
-    if any(pt.alpha != alpha for pt in points):
-        raise ValueError("composition requires a common Renyi order")
-    return RdpPoint(alpha=alpha, epsilon=math.fsum(pt.epsilon for pt in points))
-
-
-def rdp_to_dp(point: RdpPoint, delta: float) -> DpPoint:
-    """Convert an (alpha, epsilon) guarantee to (epsilon', delta)-DP.
-
-    Finite alpha adds the standard log(1/delta)/(alpha - 1) slack; at
-    alpha = inf the RDP epsilon carries over unchanged.
+def rdp_to_dp(alphas, epsilons, delta: float) -> float:
+    """Best (epsilon', delta)-DP epsilon' of an RDP curve: the minimum over its
+    orders of epsilon + log(1/delta)/(alpha - 1); at alpha = inf the slack
+    is 0. ``alphas`` and ``epsilons`` must have one shape.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if point.alpha == 1:
-        raise ValueError("conversion undefined at alpha = 1; use alpha > 1")
-    if point.alpha == math.inf:
-        return DpPoint(epsilon=point.epsilon, delta=delta)
-    return DpPoint(
-        epsilon=point.epsilon + math.log(1.0 / delta) / (point.alpha - 1.0),
-        delta=delta,
-    )
+    alphas, epsilons = np.asarray(alphas, dtype=float), np.asarray(epsilons, dtype=float)
+    if alphas.shape != epsilons.shape or alphas.size == 0:
+        raise ValueError(f"need one epsilon per order, got shapes {alphas.shape}, {epsilons.shape}")
+    if not (alphas > 1).all():
+        raise ValueError(f"conversion needs orders > 1 (undefined at alpha = 1), got {alphas}")
+    if not (epsilons >= 0).all():
+        raise ValueError(f"epsilons must be nonnegative, got {epsilons}")
+    return float((epsilons + math.log(1.0 / delta) / (alphas - 1.0)).min())
 
 
 def calibrate_sigma(target: DpPoint, rounds: int, sensitivity: float) -> float:
@@ -177,14 +163,16 @@ def calibrate_sigma(target: DpPoint, rounds: int, sensitivity: float) -> float:
     At order alpha the composed, converted budget is
     rounds*alpha*s^2/(2*sigma^2) + log(1/delta)/(alpha - 1), so each order on
     DEFAULT_ALPHA_GRID has a closed-form noise scale; the smallest one wins,
-    nudged up by ulps until the composition route meets the target too.
-    Raises if the target is unreachable at any noise scale (the conversion
-    slack alone exceeds it).
+    nudged up by ulps until ``rounds * gaussian_rdp_baseline`` plus the slack
+    meets the target too. Raises if the target is unreachable at any noise
+    scale (the conversion slack alone exceeds it).
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be positive, got {rounds}")
-    if not sensitivity > 0:
-        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
+    if not isinstance(rounds, (int, np.integer)) or rounds < 1:
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
+    if not 0 < sensitivity < math.inf:
+        raise ValueError(f"sensitivity must be finite and positive, got {sensitivity}")
+    if not target.epsilon < math.inf:
+        raise ValueError(f"target epsilon must be finite, got {target.epsilon}")
     slack = {a: math.log(1.0 / target.delta) / (a - 1.0) for a in DEFAULT_ALPHA_GRID}
     if target.epsilon <= min(slack.values()):
         raise ValueError(
@@ -196,8 +184,8 @@ def calibrate_sigma(target: DpPoint, rounds: int, sensitivity: float) -> float:
         for a, s in slack.items()
         if target.epsilon > s
     )
-    while rdp_to_dp(
-        compose([gaussian_rdp_baseline(sensitivity, sigma, alpha)] * rounds), target.delta
-    ).epsilon > target.epsilon:
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"the noise scale for {target} over {rounds} rounds is out of float range")
+    while rounds * gaussian_rdp_baseline(sensitivity, sigma, alpha) + slack[alpha] > target.epsilon:
         sigma = math.nextafter(sigma, math.inf)
     return sigma

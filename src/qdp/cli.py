@@ -84,7 +84,7 @@ def _cmd_sweep(args) -> int:
     """Both budgets per level, sorted by k, beside the alpha = 1 Gaussian
     baseline c_q^2/(2 sigma^2), which has the same sensitivity convention."""
     noise = NoiseSpec(sigma=args.sigma)
-    gauss = accountant.gaussian_rdp_baseline(args.cq, args.sigma, 1.0).epsilon
+    gauss = float(accountant.gaussian_rdp_baseline(args.cq, args.sigma, 1.0))
     rows = []
     for k in sorted(args.k_list):
         mech = accountant.MechanismSpec(noise=noise, quant=QuantizerSpec(k=k, c_q=args.cq))

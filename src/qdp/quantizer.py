@@ -28,6 +28,10 @@ class QuantizerSpec:
             raise ValueError(f"quantizer needs at least 2 levels, got k={self.k}")
         if not self.c_q > 0:
             raise ValueError(f"clipping radius must be positive, got c_q={self.c_q}")
+        # delta and the level numerators scale c_q by 2 and by up to k - 1;
+        # dividing keeps an integer k too large for a float out of the arithmetic
+        if not max(2, self.k - 1) <= sys.float_info.max / self.c_q:
+            raise ValueError(f"k={self.k} levels over c_q={self.c_q} are out of float range")
 
     @property
     def delta(self) -> float:

@@ -9,9 +9,7 @@ from qdp.accountant import (
     DEFAULT_ALPHA_GRID,
     DpPoint,
     MechanismSpec,
-    RdpPoint,
     calibrate_sigma,
-    compose,
     epsilon_infinity,
     epsilon_one,
     gaussian_rdp_baseline,
@@ -283,61 +281,138 @@ class TestLogSpaceDivergence:
 
 class TestGaussianBaseline:
     def test_reference_setting(self):
-        assert gaussian_rdp_baseline(1.0, 1.0, 1.0).epsilon == 0.5
+        assert gaussian_rdp_baseline(1.0, 1.0, 1.0) == 0.5
 
     def test_formula_at_alpha_two(self):
-        assert gaussian_rdp_baseline(1.0, 1.0, 2.0).epsilon == 1.0
+        assert gaussian_rdp_baseline(1.0, 1.0, 2.0) == 1.0
 
     def test_zero_sensitivity(self):
-        assert gaussian_rdp_baseline(0.0, 1.0, 4.0).epsilon == 0.0
+        assert gaussian_rdp_baseline(0.0, 1.0, 4.0) == 0.0
+
+    def test_zero_sensitivity_is_the_zero_curve(self):
+        # the output ignores the input, so no order leaks, not even infinity
+        curve = gaussian_rdp_baseline(0.0, 1e-300, (1.0, 2.0, math.inf))
+        assert curve.tolist() == [0.0, 0.0, 0.0]
 
     def test_unbounded_at_infinite_order(self):
-        point = gaussian_rdp_baseline(1.0, 1.0, math.inf)
-        assert point.epsilon == math.inf
+        assert gaussian_rdp_baseline(1.0, 1.0, math.inf) == math.inf
 
+    def test_scalar_order_gives_numpy_scalar(self):
+        value = gaussian_rdp_baseline(1.0, 2.0, 3.0)
+        assert isinstance(value, np.float64)
+        assert value == 3.0 / 8.0
 
-class TestCompose:
-    def test_single_point_unchanged(self):
-        point = RdpPoint(2.0, 0.7)
-        assert compose([point]) == point
+    def test_curve_has_the_shape_of_the_orders(self):
+        curve = gaussian_rdp_baseline(0.7, 0.3, DEFAULT_ALPHA_GRID)
+        assert curve.shape == (len(DEFAULT_ALPHA_GRID),)
+        for a, value in zip(DEFAULT_ALPHA_GRID, curve):
+            assert value == gaussian_rdp_baseline(0.7, 0.3, a)
+        grid = np.array([[1.0, 2.0], [4.0, math.inf]])
+        assert gaussian_rdp_baseline(1.0, 1.0, grid).tolist() == [[0.5, 1.0], [2.0, math.inf]]
 
-    def test_additivity(self):
-        total = compose([RdpPoint(3.0, 0.2)] * 10)
-        assert total.alpha == 3.0
-        assert total.epsilon == pytest.approx(2.0)
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 2000))
+    @settings(max_examples=200, deadline=None)
+    def test_rounds_compose_as_a_product(self, sensitivity, sigma, rounds):
+        # T * e is the correctly rounded exact T-fold sum, as fsum gives it
+        curve = gaussian_rdp_baseline(sensitivity, sigma, DEFAULT_ALPHA_GRID)
+        assert (rounds * curve).tolist() == [math.fsum([e] * rounds) for e in curve.tolist()]
 
-    def test_pairwise(self):
-        assert compose([RdpPoint(2.0, 0.1), RdpPoint(2.0, 0.3)]).epsilon == pytest.approx(0.4)
+    @pytest.mark.parametrize(
+        "sensitivity,sigma",
+        [(1.0, 1e-300), (1.0, 1e-160), (1e200, 1e100), (1.0, 1e160), (1e300, 1.0)],
+    )
+    def test_out_of_float_range_raises(self, sensitivity, sigma):
+        with pytest.raises(ValueError, match="out of float range"):
+            gaussian_rdp_baseline(sensitivity, sigma, DEFAULT_ALPHA_GRID)
 
-    def test_mixed_orders_rejected(self):
-        with pytest.raises(ValueError, match="common"):
-            compose([RdpPoint(2.0, 0.1), RdpPoint(3.0, 0.1)])
+    @pytest.mark.parametrize("name,sensitivity,sigma", [
+        ("sensitivity", math.nan, 1.0),
+        ("sensitivity", math.inf, 1.0),
+        ("sensitivity", -1.0, 1.0),
+        ("sigma", 1.0, math.nan),
+        ("sigma", 1.0, math.inf),
+        ("sigma", 1.0, 0.0),
+    ])
+    def test_invalid_inputs_named(self, name, sensitivity, sigma):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gaussian_rdp_baseline(sensitivity, sigma, 2.0)
+
+    @pytest.mark.parametrize("alphas", [0.5, math.nan, (2.0, 0.9)])
+    def test_orders_below_one_rejected(self, alphas):
+        with pytest.raises(ValueError, match="orders must be >= 1"):
+            gaussian_rdp_baseline(1.0, 1.0, alphas)
 
 
 class TestRdpToDp:
     def test_infinite_order_is_pure_dp(self):
-        assert rdp_to_dp(RdpPoint(math.inf, 3.0), 1e-5) == DpPoint(3.0, 1e-5)
+        assert rdp_to_dp(math.inf, 3.0, 1e-5) == 3.0
 
     def test_large_order_limit(self):
-        point = rdp_to_dp(RdpPoint(1e12, 0.7), 1e-9)
-        assert point.epsilon == pytest.approx(0.7, abs=1e-9)
+        assert rdp_to_dp(1e12, 0.7, 1e-9) == pytest.approx(0.7, abs=1e-9)
 
     def test_unit_slack(self):
         # log(1/delta)/(alpha-1) = 1 at alpha=2, delta=1/e
-        point = rdp_to_dp(RdpPoint(2.0, 1.0), math.exp(-1.0))
-        assert point.epsilon == pytest.approx(2.0, rel=1e-12)
+        assert rdp_to_dp(2.0, 1.0, math.exp(-1.0)) == pytest.approx(2.0, rel=1e-12)
+
+    def test_returns_a_float(self):
+        assert type(rdp_to_dp(DEFAULT_ALPHA_GRID, [1.0] * len(DEFAULT_ALPHA_GRID), 1e-5)) is float
+
+    def test_best_order_wins(self):
+        # slack log(1/delta)/(alpha - 1) is 2, 1 and 0.5 at orders 1.5, 2 and 3
+        delta = math.exp(-1.0)
+        assert rdp_to_dp([1.5, 2.0, 3.0], [0.1, 0.5, 1.4], delta) == pytest.approx(1.5)
+        assert rdp_to_dp([1.5, 2.0, 3.0], [0.1, 0.2, 1.4], delta) == pytest.approx(1.2)
+        assert rdp_to_dp([2.0, math.inf], [1.0, 1.5], delta) == 1.5
+
+    def test_each_order_is_its_own_conversion(self):
+        curve = gaussian_rdp_baseline(1.0, 3.0, DEFAULT_ALPHA_GRID)
+        singles = [rdp_to_dp(a, e, 1e-5) for a, e in zip(DEFAULT_ALPHA_GRID, curve)]
+        assert rdp_to_dp(DEFAULT_ALPHA_GRID, curve, 1e-5) == min(singles)
+
+    def test_composition_is_curve_arithmetic(self):
+        # ten rounds of one mechanism, then a second mechanism on the same orders
+        orders = np.array([2.0, 8.0, 32.0])
+        first, second = (gaussian_rdp_baseline(s, sigma, orders) for s, sigma in ((1, 4), (0.5, 1)))
+        total = 10 * first + second
+        assert total.tolist() == [10 * a / 32.0 + a / 8.0 for a in orders]
+        assert rdp_to_dp(orders, total, 1e-5) == min(
+            e + math.log(1.0 / 1e-5) / (a - 1.0) for a, e in zip(orders, total)
+        )
 
     def test_alpha_one_rejected(self):
         with pytest.raises(ValueError, match="alpha = 1"):
-            rdp_to_dp(RdpPoint(1.0, 0.5), 1e-5)
+            rdp_to_dp(1.0, 0.5, 1e-5)
+        with pytest.raises(ValueError, match="alpha = 1"):
+            rdp_to_dp((2.0, 1.0), (0.5, 0.5), 1e-5)
+
+    @pytest.mark.parametrize("alphas", [0.5, math.nan])
+    def test_orders_at_most_one_rejected(self, alphas):
+        with pytest.raises(ValueError, match="orders > 1"):
+            rdp_to_dp(alphas, 0.5, 1e-5)
+
+    @pytest.mark.parametrize("epsilons", [(0.1, math.nan), (0.1, -0.1)])
+    def test_bad_epsilons_rejected(self, epsilons):
+        with pytest.raises(ValueError, match="epsilons must be nonnegative"):
+            rdp_to_dp((2.0, 4.0), epsilons, 1e-5)
+
+    @pytest.mark.parametrize(
+        "alphas,epsilons", [((), ()), (2.0, (0.1, 0.2)), ((2.0, 4.0), (0.1,))]
+    )
+    def test_empty_or_mismatched_curve_rejected(self, alphas, epsilons):
+        # no silent broadcast of one order over many epsilons
+        with pytest.raises(ValueError, match="need one epsilon per order"):
+            rdp_to_dp(alphas, epsilons, 1e-5)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, math.nan])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            rdp_to_dp(2.0, 0.5, delta)
 
 
 def converted_epsilon(sigma, rounds, delta, sensitivity=1.0):
-    """Best converted budget over the default order grid, via compose and rdp_to_dp."""
-    return min(
-        rdp_to_dp(compose([gaussian_rdp_baseline(sensitivity, sigma, a)] * rounds), delta).epsilon
-        for a in DEFAULT_ALPHA_GRID
-    )
+    """Best converted budget over the default order grid, composed as rounds * curve."""
+    curve = gaussian_rdp_baseline(sensitivity, sigma, DEFAULT_ALPHA_GRID)
+    return rdp_to_dp(DEFAULT_ALPHA_GRID, rounds * curve, delta)
 
 
 class TestCalibrateSigma:
@@ -361,13 +436,8 @@ class TestCalibrateSigma:
         assert s_loose < s_tight
 
     def test_returned_sigma_meets_target(self):
-        target = DpPoint(epsilon=5.0, delta=1e-5)
-        sigma = calibrate_sigma(target, rounds=150, sensitivity=1.0)
-        best = min(
-            rdp_to_dp(compose([gaussian_rdp_baseline(1.0, sigma, a)] * 150), 1e-5).epsilon
-            for a in DEFAULT_ALPHA_GRID
-        )
-        assert best <= 5.0
+        sigma = calibrate_sigma(DpPoint(epsilon=5.0, delta=1e-5), rounds=150, sensitivity=1.0)
+        assert converted_epsilon(sigma, 150, 1e-5) <= 5.0
 
     @given(
         st.floats(0.05, 50.0),
@@ -389,15 +459,51 @@ class TestCalibrateSigma:
 
     def test_matches_closed_form_reference(self):
         # min over the grid of sqrt(rounds * alpha / (2 (eps - log(1/delta)/(alpha - 1)))),
-        # evaluated in 100-digit arithmetic for the target (5, 1e-5)
+        # evaluated in 100-digit arithmetic for the target (5, 1e-5); these are
+        # the benchmark's calibration references, pinned to the bit
         target = DpPoint(5.0, 1e-5)
-        assert calibrate_sigma(target, 1, 1.0) == pytest.approx(1.0918539577597648, rel=1e-12)
-        assert calibrate_sigma(target, 1000, 1.0) == pytest.approx(34.52745378790134, rel=1e-12)
+        assert calibrate_sigma(target, 1, 1.0) == 1.0918539577597648
+        assert calibrate_sigma(target, 10, 1.0) == 3.4527453787901337
+        assert calibrate_sigma(target, 100, 1.0) == 10.918539577597649
+        assert calibrate_sigma(target, 1000, 1.0) == 34.52745378790134
 
     def test_unreachable_target_diagnosed(self):
         # conversion slack alone (log 2 / 255 = 0.0027 at alpha = 256) exceeds the target
         with pytest.raises(ValueError, match="unreachable"):
             calibrate_sigma(DpPoint(0.001, 0.5), rounds=1, sensitivity=1.0)
+
+    @pytest.mark.parametrize("rounds", [10**15, 10**18])
+    def test_astronomical_rounds_need_no_memory(self, rounds):
+        sigma = calibrate_sigma(DpPoint(5.0, 1e-5), rounds=rounds, sensitivity=1.0)
+        assert converted_epsilon(sigma, rounds, 1e-5) <= 5.0
+        assert converted_epsilon(sigma * (1 - 1e-9), rounds, 1e-5) > 5.0
+
+    @pytest.mark.parametrize("rounds", [0, -3, 2.5, 3.0, "10"])
+    def test_rounds_must_be_a_positive_integer(self, rounds):
+        with pytest.raises(ValueError, match="rounds must be an integer >= 1"):
+            calibrate_sigma(DpPoint(5.0, 1e-5), rounds=rounds, sensitivity=1.0)
+
+    def test_numpy_integer_rounds_accepted(self):
+        target = DpPoint(5.0, 1e-5)
+        assert calibrate_sigma(target, np.int64(10), 1.0) == calibrate_sigma(target, 10, 1.0)
+
+    def test_infinite_target_rejected(self):
+        with pytest.raises(ValueError, match="target epsilon must be finite"):
+            calibrate_sigma(DpPoint(math.inf, 1e-5), rounds=1, sensitivity=1.0)
+
+    @pytest.mark.parametrize("sensitivity", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_sensitivity_named(self, sensitivity):
+        with pytest.raises(ValueError, match="sensitivity must be finite and positive"):
+            calibrate_sigma(DpPoint(5.0, 1e-5), rounds=1, sensitivity=sensitivity)
+
+    @pytest.mark.parametrize(
+        "target,rounds,sensitivity",
+        [((5.0, 1e-5), 1, 1e300), ((5.0, 1e-5), 10**18, 1e300), ((50.0, 0.4), 1, 5e-324)],
+    )
+    def test_noise_beyond_float_range_raises(self, target, rounds, sensitivity):
+        # the budget's s**2, or the noise scale itself, leaves the float range
+        with pytest.raises(ValueError, match="out of float range"):
+            calibrate_sigma(DpPoint(*target), rounds=rounds, sensitivity=sensitivity)
 
 
 class TestDivergenceBounds:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qdp import __version__
@@ -71,6 +71,8 @@ class TestBudget:
         [
             ("16", "1", "1e-160", "exceeds the largest float"),
             ("2", "1e300", "1e-10", "out of float range"),
+            ("1024", "1e306", "1", "out of float range"),  # (k - 1) * c_q overflows
+            (str(10**400), "1", "1", "out of float range"),  # k - 1 is beyond any float
         ],
     )
     def test_out_of_float_range_is_runtime_failure(self, capsys, alpha, k, cq, sigma, reason):
@@ -143,6 +145,24 @@ class TestSweep:
                 argv = ["budget", "--k", row["k"], "--cq", "1", "--sigma", "1", "--alpha", alpha]
                 assert run(capsys, *argv)[1] == f"{float(row[column]):.12g}\n"
 
+    @pytest.mark.parametrize(
+        "k_list,cq,sigma",
+        [
+            ("2,4", "1", "1e-300"),  # sigma**2 underflows to zero
+            ("2", "1", "1e-160"),  # the baseline overflows to inf
+            ("2", "1e200", "1e100"),  # c_q**2 overflows
+            ("2", "1", "1e160"),  # sigma**2 overflows
+        ],
+    )
+    def test_gaussian_baseline_out_of_float_range_fails(self, capsys, tmp_path, k_list, cq, sigma):
+        out_csv = tmp_path / "sweep.csv"
+        argv = ["sweep", "--k-list", k_list, "--cq", cq, "--sigma", sigma, "--out", str(out_csv)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "Gaussian budget" in err and "out of float range" in err
+        assert not out_csv.exists()
+
     def test_unwritable_path_fails(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -154,6 +174,42 @@ class TestSweep:
         )
         assert code == 1
         assert err
+
+
+class TestBudgetRange:
+    """Every (k, c_q, sigma) the parser accepts gets a finite budget or a clean
+    runtime failure: never a silent inf or a raw traceback."""
+
+    @given(
+        st.floats(-320.0, 308.0), st.floats(-320.0, 308.0), st.sampled_from(("2", "3", "1024"))
+    )
+    # capsys is read out after every call, so examples cannot see each other's output
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_finite_output_or_exit_one(self, capsys, log_cq, log_sigma, k):
+        cq, sigma = repr(10.0**log_cq), repr(10.0**log_sigma)
+        for alpha in ("1", "inf"):
+            code, out, err = run(
+                capsys, "budget", "--k", k, "--cq", cq, "--sigma", sigma, "--alpha", alpha
+            )
+            assert code in (0, 1)
+            if code == 0:
+                assert math.isfinite(float(out))
+            else:
+                assert err.startswith("qdp budget: error:")
+        with tempfile.TemporaryDirectory() as tmp:
+            out_csv = Path(tmp) / "sweep.csv"
+            code, _, err = run(
+                capsys, "sweep", "--k-list", k, "--cq", cq, "--sigma", sigma, "--out", str(out_csv)
+            )
+            assert code in (0, 1)
+            if code == 0:
+                rows = list(csv.DictReader(out_csv.read_text().splitlines()))
+                assert [row["k"] for row in rows] == [k]
+                assert all(math.isfinite(float(value)) for row in rows for value in row.values())
+            else:
+                assert err.startswith("qdp sweep: error:")
 
 
 class TestFlTrain:

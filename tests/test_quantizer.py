@@ -27,6 +27,19 @@ class TestQuantizerSpec:
         with pytest.raises(ValueError):
             QuantizerSpec(k=4, c_q=-1.0)
 
+    @pytest.mark.parametrize("k,c_q", [(2, 1e308), (1024, 1e306), (2, math.inf), (10**400, 1.0)])
+    def test_lattice_out_of_float_range_rejected(self, k, c_q):
+        # 2*c_q (the spacing) or (k - 1)*c_q (the top level's numerator) overflows
+        with pytest.raises(ValueError, match="out of float range"):
+            QuantizerSpec(k=k, c_q=c_q)
+
+    @pytest.mark.parametrize("k,c_q", [(2, 8e307), (1024, 1.7e305)])
+    def test_largest_lattices_are_finite(self, k, c_q):
+        spec = QuantizerSpec(k=k, c_q=c_q)
+        assert math.isfinite(spec.delta)
+        assert np.isfinite(spec.levels()).all()
+        assert spec.levels()[-1] == c_q
+
     def test_delta_and_level_formula(self):
         spec = QuantizerSpec(k=5, c_q=1.0)
         assert spec.delta == pytest.approx(0.5)
