@@ -9,46 +9,62 @@ Two sweeps, each averaged over five seeds:
     the accountant's budgets which shrink as k falls;
   * noise scale at fixed k = 16: more noise, less leakage.
 
-Each audit trains 1 target + 16 shadow models, so expect a few seconds.
+The shadow fit depends on the task and the seed, not on the mechanism, so
+each seed fits 16 shadow models once and trains one target per mechanism.
 """
 
 import numpy as np
 
-from qdp import AttackConfig, FlRunConfig, audit_run
+from qdp import AttackConfig, FlRunConfig
+from qdp.flsim import make_task_data, train
+from qdp.lira import fit_attack
 
 SEEDS = range(5)
+K_SWEEP = [(0.02, k) for k in (None, 64, 16, 4)]  # (sigma, k)
+SIGMA_SWEEP = [(sigma, 16) for sigma in (0.0, 0.05, 0.5)]
+BASELINE = (0.0, None)
 
 
-def attack(sigma, k):
-    accs = []
+def config(seed, sigma, k):
+    return FlRunConfig(
+        n_clients_total=8,
+        n_sampled=8,
+        rounds=20,
+        local_steps=10,
+        learning_rate=0.5,
+        batch_size=8,
+        c_q=1.0,
+        sigma=sigma,
+        k=k,
+        seed=seed,
+        dimension=20,
+        samples_per_client=8,
+        margin=1.5,
+    )
+
+
+def mean_accuracies(mechanisms):
+    """Mean attack accuracy over SEEDS for each (sigma, k)."""
+    per_seed = []
     for seed in SEEDS:
-        config = FlRunConfig(
-            n_clients_total=8,
-            n_sampled=8,
-            rounds=20,
-            local_steps=10,
-            learning_rate=0.5,
-            batch_size=8,
-            c_q=1.0,
-            sigma=sigma,
-            k=k,
-            seed=seed,
-            dimension=20,
-            samples_per_client=8,
-            margin=1.5,
-        )
-        accs.append(audit_run(config, AttackConfig()).accuracy)
-    return float(np.mean(accs))
+        task_config = config(seed, *BASELINE)
+        task = make_task_data(task_config)
+        attack = fit_attack(task_config, AttackConfig(), task)
+        targets = [train(config(seed, sigma, k), task) for sigma, k in mechanisms]
+        per_seed.append([attack(target.weights).accuracy for target in targets])
+    return {mech: float(np.mean(accs)) for mech, accs in zip(mechanisms, zip(*per_seed))}
 
+
+accuracy = mean_accuracies(K_SWEEP + SIGMA_SWEEP + [BASELINE])
 
 print("attack accuracy vs quantization level (sigma = 0.02):")
-for k in (None, 64, 16, 4):
+for sigma, k in K_SWEEP:
     label = "none" if k is None else str(k)
-    print(f"  k = {label:>4}: {attack(0.02, k):.3f}")
+    print(f"  k = {label:>4}: {accuracy[sigma, k]:.3f}")
 
 print("\nattack accuracy vs noise scale (k = 16):")
-for sigma in (0.0, 0.05, 0.5):
-    print(f"  sigma = {sigma:>4}: {attack(sigma, 16):.3f}")
+for sigma, k in SIGMA_SWEEP:
+    print(f"  sigma = {sigma:>4}: {accuracy[sigma, k]:.3f}")
 
 print("\n0.5 is chance level; the no-noise, no-quantization baseline is")
-print(f"{attack(0.0, None):.3f}, so the gap to 0.5 is the leakage being protected.")
+print(f"{accuracy[BASELINE]:.3f}, so the gap to 0.5 is the leakage being protected.")

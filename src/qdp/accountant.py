@@ -13,7 +13,9 @@ Epsilons are in nats.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +56,10 @@ def _finite(budget: float, mech: MechanismSpec) -> float:
     if budget == math.inf:
         raise ValueError(f"the budget of {mech!r} exceeds the largest float")
     return budget
+
+
+def _normal(x: float) -> bool:
+    return sys.float_info.min <= x < math.inf
 
 
 def renyi_divergence(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> float:
@@ -120,7 +126,8 @@ def gaussian_rdp_baseline(sensitivity: float, sigma: float, alphas) -> np.ndarra
     """RDP curve of the unquantized Gaussian mechanism, alpha*s^2/(2*sigma^2)
     at each order: the shape of ``alphas`` (a scalar order gives a numpy
     scalar), inf at alpha = inf, and zero at every order for s = 0. T rounds
-    compose to ``T * curve``. Raises where the curve leaves the float range.
+    compose to ``T * curve``. Accurate wherever the curve is a normal float, even
+    where s^2 or sigma^2 is not; below that range it rounds toward 0, above it raises.
     """
     if not 0 <= sensitivity < math.inf:
         raise ValueError(f"sensitivity must be finite and nonnegative, got {sensitivity}")
@@ -131,13 +138,20 @@ def gaussian_rdp_baseline(sensitivity: float, sigma: float, alphas) -> np.ndarra
         raise ValueError(f"Renyi orders must be >= 1, got {alphas}")
     if sensitivity == 0:  # the output ignores the input
         return np.zeros_like(alphas)[()]
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return alphas * sensitivity**2 / (2.0 * sigma**2)
-    except (OverflowError, FloatingPointError):
-        raise ValueError(
-            f"the Gaussian budget at s = {sensitivity!r}, sigma = {sigma!r} is out of float range"
-        ) from None
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with contextlib.suppress(OverflowError, FloatingPointError):  # alphas * s**2 overflows
+            if _normal(sensitivity * sensitivity) and _normal(2.0 * sigma * sigma):
+                return alphas * sensitivity**2 / (2.0 * sigma**2)
+        # otherwise divide the mantissas' integer squares, rounding once, and rescale
+        (s_frac, s_exp), (sigma_frac, sigma_exp) = math.frexp(sensitivity), math.frexp(sigma)
+        ratio = int(s_frac * 2**53) ** 2 / (2 * int(sigma_frac * 2**53) ** 2)
+        try:
+            return np.ldexp(alphas * ratio, 2 * (s_exp - sigma_exp))
+        except FloatingPointError:
+            raise ValueError(
+                f"the Gaussian budget at s = {sensitivity!r}, sigma = {sigma!r} "
+                "is out of float range"
+            ) from None
 
 
 def rdp_to_dp(alphas, epsilons, delta: float) -> float:

@@ -242,13 +242,14 @@ def aggregate(weights: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     return weights + np.mean(deltas, axis=0)
 
 
-def train(config: FlRunConfig) -> RunResult:
+def train(config: FlRunConfig, task=None) -> RunResult:
     """Run the full federated loop and log test metrics each round.
 
-    Non-finite weights abort the run, naming the round and, when local
-    training diverged, the lowest sampled client that did.
+    ``task`` must be ``make_task_data(config)``, drawn here when not given, so
+    that the config reproduces the run. Non-finite weights abort it, naming the
+    round and, when local training diverged, the lowest sampled client that did.
     """
-    (shard_x, shard_y), (test_x, test_y) = make_task_data(config)
+    (shard_x, shard_y), (test_x, test_y) = make_task_data(config) if task is None else task
     weights = np.zeros(config.dimension + 1)
     metrics: list[tuple[int, float, float]] = []
     for t in range(config.rounds):

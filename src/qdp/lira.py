@@ -7,6 +7,8 @@ sample by the upper-tail probability of the target model's loss under that
 fit: unusually low loss means member-like. Reported accuracy is the maximal
 balanced accuracy over score thresholds. Every draw comes from a Philox
 stream keyed on the run seed, so the run's config alone fixes the audit.
+The fit depends on the task and the seed, not the mechanism: ``fit_attack``
+fits once and returns a scorer for targets of any sigma and k.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "fit_out_distribution",
     "score",
     "attack_accuracy",
+    "fit_attack",
     "audit_run",
     "write_report",
 ]
@@ -129,16 +132,16 @@ def attack_accuracy(scores, is_member) -> tuple[float, list[tuple[float, float]]
     return accuracy, [(0.0, 0.0)] + list(zip(fpr[::-1].tolist(), tpr[::-1].tolist()))
 
 
-def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackReport:
-    """Train the target, mount the offline attack, and report its accuracy.
+def fit_attack(fl_config: FlRunConfig, attack_config: AttackConfig, task):
+    """Draw the audit set from ``task``, fit the shadows, and return ``attack``.
 
-    Audit members are drawn from the target's training data; non-members and
-    every shadow shard are fresh draws from the same distribution, each from
-    its own stream, so shadow training sets exclude the audit set by
-    construction.
+    ``task`` is ``flsim.make_task_data(fl_config)``; ``attack(target_weights)``
+    returns an ``AttackReport``. Audit members come from the task's training
+    data; non-members and every shadow shard are fresh draws, each from its
+    own stream, so no shadow trains on an audit sample.
     """
     half = attack_config.audit_size // 2
-    (shard_x, shard_y), _ = flsim.make_task_data(fl_config)
+    (shard_x, shard_y), _ = task
     train_x = shard_x.reshape(-1, fl_config.dimension)
     train_y = shard_y.reshape(-1)
     n_train = len(train_y)
@@ -146,9 +149,6 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
         raise ValueError(
             f"audit set needs {half} members but the target trains on {n_train} samples"
         )
-
-    result = flsim.train(fl_config)
-    target_weights = result.weights
 
     member_rng = flsim._stream(fl_config.seed, _MEMBER_STREAM)
     member_ids = np.sort(member_rng.choice(n_train, size=half, replace=False))
@@ -171,16 +171,26 @@ def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackRepo
             start, sx[None], sy[None], steps, fl_config.learning_rate, n_train, [shadow_rng]
         )
         models.append(weights)
-
     mu_out, sigma_out = fit_out_distribution(models, audit_x, audit_y)
-    target_losses = flsim.cross_entropy_losses(target_weights, audit_x, audit_y)
-    scores = score(target_losses, mu_out, sigma_out)
-    accuracy, roc_points = attack_accuracy(scores, is_member)
-    return AttackReport(
-        scores=dict(zip(audit_ids, scores.tolist())),
-        accuracy=accuracy,
-        roc_points=roc_points,
-    )
+
+    def attack(target_weights: np.ndarray) -> AttackReport:
+        target_losses = flsim.cross_entropy_losses(target_weights, audit_x, audit_y)
+        scores = score(target_losses, mu_out, sigma_out)
+        accuracy, roc_points = attack_accuracy(scores, is_member)
+        return AttackReport(
+            scores=dict(zip(audit_ids, scores.tolist())),
+            accuracy=accuracy,
+            roc_points=roc_points,
+        )
+
+    return attack
+
+
+def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackReport:
+    """Train the target on its task and mount the offline attack of ``fit_attack`` on it."""
+    task = flsim.make_task_data(fl_config)
+    attack = fit_attack(fl_config, attack_config, task)
+    return attack(flsim.train(fl_config, task).weights)
 
 
 def write_report(

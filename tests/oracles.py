@@ -6,6 +6,7 @@ float closed forms, so the two routes stay independent.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -60,6 +61,11 @@ def mp_epsilon_infinity(k, c_q, sigma, dps=900):
         top = 3 * c_q / 2  # the top level seen from the input -c_q/2
         log_fwd, _ = _mp_log_cell_moments((top - delta) / sigma, top / sigma)
         return float(mp.log(delta / sigma) - log_fwd)
+
+
+def exact_gaussian_rdp(sensitivity, sigma, alpha):
+    """alpha * s^2 / (2 sigma^2) in exact rational arithmetic, rounded once to a float."""
+    return float(Fraction(alpha) * Fraction(sensitivity) ** 2 / (2 * Fraction(sigma) ** 2))
 
 
 def mp_log_level_probs(x, sigma, k, c_q, dps=60):

@@ -19,8 +19,8 @@ from qdp.accountant import (
     renyi_divergence,
 )
 from qdp.cli import main as cli_main
-from qdp.flsim import FlRunConfig, train, write_run_artifact
-from qdp.lira import AttackConfig, audit_run
+from qdp.flsim import FlRunConfig, make_task_data, train, write_run_artifact
+from qdp.lira import AttackConfig, fit_attack
 from qdp.pmf import NoiseSpec, quantized_gaussian_pmf
 from qdp.quantizer import QuantizerSpec, quantize
 
@@ -54,15 +54,21 @@ def _mia_config(seed, sigma, k):
     )
 
 
-def _mean_attack_accuracy(sigma, k):
-    return float(
-        np.mean(
-            [
-                audit_run(_mia_config(seed, sigma, k), AttackConfig()).accuracy
-                for seed in TREND_SEEDS
-            ]
+def _mean_attack_accuracies(mechanisms):
+    """Mean attack accuracy over the trend seeds for each (sigma, k).
+
+    The shadow fit depends on the task and the seed, not the mechanism, so
+    each seed fits one attack and trains one target per mechanism.
+    """
+    per_seed = []
+    for seed in TREND_SEEDS:
+        task_config = _mia_config(seed, 0.0, None)
+        task = make_task_data(task_config)
+        attack = fit_attack(task_config, AttackConfig(), task)
+        per_seed.append(
+            [attack(train(_mia_config(seed, s, k), task).weights).accuracy for s, k in mechanisms]
         )
-    )
+    return [float(np.mean(accs)) for accs in zip(*per_seed)]
 
 
 def test_criterion_1_budget_sweep_trend(tmp_path):
@@ -241,14 +247,11 @@ def test_criterion_7_fl_smoke(tmp_path):
 
 
 def test_criterion_8_mia_trends():
-    baseline = _mean_attack_accuracy(sigma=0.0, k=None)
+    baseline, acc_quantized, acc_unquantized, *sigma_curve = _mean_attack_accuracies(
+        [(0.0, None), (0.02, 4), (0.02, None), (0.0, 16), (0.05, 16), (0.5, 16)]
+    )
     leaks = baseline > 0.53
-
-    acc_quantized = _mean_attack_accuracy(sigma=0.02, k=4)
-    acc_unquantized = _mean_attack_accuracy(sigma=0.02, k=None)
     quantization_helps = acc_quantized <= acc_unquantized + TREND_TOLERANCE
-
-    sigma_curve = [_mean_attack_accuracy(sigma=s, k=16) for s in (0.0, 0.05, 0.5)]
     noise_helps = all(b <= a + TREND_TOLERANCE for a, b in zip(sigma_curve, sigma_curve[1:]))
 
     ok = leaks and quantization_helps and noise_helps

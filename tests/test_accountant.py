@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qdp.pmf import NoiseSpec, quantized_gaussian_pmf
 from qdp.quantizer import QuantizerSpec
 
 from oracles import (
+    exact_gaussian_rdp,
     kl_sum,
     mp_epsilon_infinity,
     mp_log_level_probs,
@@ -318,12 +320,28 @@ class TestGaussianBaseline:
         assert (rounds * curve).tolist() == [math.fsum([e] * rounds) for e in curve.tolist()]
 
     @pytest.mark.parametrize(
-        "sensitivity,sigma",
-        [(1.0, 1e-300), (1.0, 1e-160), (1e200, 1e100), (1.0, 1e160), (1e300, 1.0)],
+        "sensitivity,sigma", [(1.0, 1e-300), (1.0, 1e-160), (1e300, 1.0)]
     )
     def test_out_of_float_range_raises(self, sensitivity, sigma):
         with pytest.raises(ValueError, match="out of float range"):
             gaussian_rdp_baseline(sensitivity, sigma, DEFAULT_ALPHA_GRID)
+
+    @pytest.mark.parametrize(
+        "sensitivity,sigma",
+        [
+            (3e-162, 2e-162),  # both squares are subnormal
+            (3e-170, 2e-170),  # both squares underflow to zero
+            (1e-150, 1e-158),  # s**2 is normal, sigma**2 underflows
+            (1e200, 1e100),  # s**2 overflows
+            (1.0, 1e160),  # sigma**2 overflows; the curve is subnormal
+            (1e154, 1e150),  # the squares are normal, 256 * s**2 overflows
+        ],
+    )
+    def test_representable_beyond_the_squares_range(self, sensitivity, sigma):
+        # at power-of-two orders the value is the exact one, correctly rounded
+        orders = (1.0, 2.0, 256.0)
+        curve = gaussian_rdp_baseline(sensitivity, sigma, orders)
+        assert curve.tolist() == [exact_gaussian_rdp(sensitivity, sigma, a) for a in orders]
 
     @pytest.mark.parametrize("name,sensitivity,sigma", [
         ("sensitivity", math.nan, 1.0),
@@ -498,12 +516,32 @@ class TestCalibrateSigma:
 
     @pytest.mark.parametrize(
         "target,rounds,sensitivity",
-        [((5.0, 1e-5), 1, 1e300), ((5.0, 1e-5), 10**18, 1e300), ((50.0, 0.4), 1, 5e-324)],
+        [((5.0, 1e-5), 10**18, 1e300), ((50.0, 0.4), 1, 5e-324)],
     )
     def test_noise_beyond_float_range_raises(self, target, rounds, sensitivity):
-        # the budget's s**2, or the noise scale itself, leaves the float range
+        # the noise scale itself leaves the float range
         with pytest.raises(ValueError, match="out of float range"):
             calibrate_sigma(DpPoint(*target), rounds=rounds, sensitivity=sensitivity)
+
+    @pytest.mark.parametrize(
+        "rounds,sensitivity",
+        [(1, 1e300), (10, 1e300), (10, 3e-162), (10, 1e-170)],
+    )
+    def test_noise_scales_with_sensitivity_beyond_the_squares_range(self, rounds, sensitivity):
+        # s**2 leaves the normal range; an inflated budget once kept the ulp
+        # nudge from ending, so a hang fails here instead of stalling the suite
+        def timed_out(signum, frame):
+            raise TimeoutError("calibrate_sigma did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(5)
+        try:
+            sigma = calibrate_sigma(DpPoint(5.0, 1e-5), rounds, sensitivity)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        unit = calibrate_sigma(DpPoint(5.0, 1e-5), rounds, 1.0)
+        assert sigma == pytest.approx(unit * sensitivity, rel=1e-15)
 
 
 class TestDivergenceBounds:

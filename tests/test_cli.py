@@ -148,10 +148,8 @@ class TestSweep:
     @pytest.mark.parametrize(
         "k_list,cq,sigma",
         [
-            ("2,4", "1", "1e-300"),  # sigma**2 underflows to zero
+            ("2,4", "1", "1e-300"),  # the baseline overflows to inf
             ("2", "1", "1e-160"),  # the baseline overflows to inf
-            ("2", "1e200", "1e100"),  # c_q**2 overflows
-            ("2", "1", "1e160"),  # sigma**2 overflows
         ],
     )
     def test_gaussian_baseline_out_of_float_range_fails(self, capsys, tmp_path, k_list, cq, sigma):
@@ -162,6 +160,23 @@ class TestSweep:
         assert out == ""
         assert "Gaussian budget" in err and "out of float range" in err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "cq,sigma,expected",
+        [
+            ("3e-162", "2e-162", 1.125),  # both squares are subnormal
+            ("1e200", "1e100", 5e199),  # c_q**2 overflows
+            ("1", "1e160", 5e-321),  # sigma**2 overflows; the baseline is subnormal
+        ],
+    )
+    def test_gaussian_baseline_beyond_the_squares_range(
+        self, capsys, tmp_path, cq, sigma, expected
+    ):
+        out_csv = tmp_path / "sweep.csv"
+        argv = ["sweep", "--k-list", "2", "--cq", cq, "--sigma", sigma, "--out", str(out_csv)]
+        assert run(capsys, *argv)[0] == 0
+        (row,) = csv.DictReader(out_csv.read_text().splitlines())
+        assert float(row["eps_gauss_alpha1"]) == expected
 
     def test_unwritable_path_fails(self, capsys, tmp_path):
         code, _, err = run(

@@ -334,6 +334,12 @@ class TestTrain:
         config = make_config(sigma=0.1, k=8, seed=42)
         assert train(config).metrics == train(config).metrics
 
+    def test_given_task_equals_drawn_task(self):
+        config = make_config(n_clients_total=8, n_sampled=3, sigma=0.1, k=8, seed=7)
+        drawn, given = train(config), train(config, make_task_data(config))
+        assert given.weights.tobytes() == drawn.weights.tobytes()
+        assert given.metrics == drawn.metrics
+
     def test_subsampling_changes_participants(self):
         config = make_config(n_clients_total=8, n_sampled=2, rounds=6, seed=3)
         result = train(config)

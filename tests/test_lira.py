@@ -19,6 +19,7 @@ from qdp.lira import (
     AttackConfig,
     attack_accuracy,
     audit_run,
+    fit_attack,
     fit_out_distribution,
     score,
     write_report,
@@ -220,10 +221,36 @@ class TestAuditRun:
             )
         assert np.mean(accs) == pytest.approx(0.5, abs=0.05)
 
-    def test_audit_bigger_than_train_rejected(self):
+    def test_audit_bigger_than_train_rejected(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a model trained before the audit set was checked")
+
+        monkeypatch.setattr(flsim, "sgd", no_training)
         config = leak_config(0)
         with pytest.raises(ValueError, match="members"):
             audit_run(config, AttackConfig(audit_size=1000))
+
+    def test_task_data_drawn_once(self, monkeypatch):
+        draws = []
+
+        def counted(config):
+            draws.append(config)
+            return make_task_data(config)
+
+        monkeypatch.setattr(flsim, "make_task_data", counted)
+        audit_run(leak_config(0), AttackConfig(m_shadows=2, audit_size=16))
+        assert len(draws) == 1
+
+    def test_one_fit_scores_every_mechanism(self):
+        # the fit reads the task, the seed and the schedule but not sigma or
+        # k; the first target is the fit's own config
+        fit_config, attack_config = leak_config(5), AttackConfig()
+        task = make_task_data(fit_config)
+        attack = fit_attack(fit_config, attack_config, task)
+        for sigma, k in ((0.0, None), (0.02, 4), (0.5, 16)):
+            config = leak_config(5, sigma=sigma, k=k)
+            report = attack(flsim.train(config, task).weights)
+            assert report == audit_run(config, attack_config)
 
     def test_shadow_shards_exclude_audit_samples(self):
         # the offline guarantee, checked on the samples: rebuild every draw
