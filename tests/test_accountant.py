@@ -1,5 +1,6 @@
 import math
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qdp.quantizer import QuantizerSpec
 
 from oracles import (
     exact_gaussian_rdp,
+    gaussian_rdp_ulp_error,
     kl_sum,
     mp_epsilon_infinity,
     mp_log_level_probs,
@@ -343,6 +345,25 @@ class TestGaussianBaseline:
         curve = gaussian_rdp_baseline(sensitivity, sigma, orders)
         assert curve.tolist() == [exact_gaussian_rdp(sensitivity, sigma, a) for a in orders]
 
+    @pytest.mark.parametrize("lo,hi", [(-3, 3), (-150, 150), (-320, 300)])
+    def test_within_one_and_a_half_ulps_and_exact_at_powers_of_two(self, lo, hi):
+        # s and sigma log-uniform over 10^[lo, hi]; the widest span puts s^2
+        # and sigma^2 outside the normal range
+        rng = np.random.default_rng(hi)
+        orders = (1.0,) + DEFAULT_ALPHA_GRID
+        checked = 0
+        for sensitivity, sigma in 10.0 ** rng.uniform(lo, hi, (500, 2)):
+            for alpha in orders:
+                exact = exact_gaussian_rdp(sensitivity, sigma, alpha)
+                if not sys.float_info.min <= exact <= sys.float_info.max:
+                    continue
+                value = float(gaussian_rdp_baseline(sensitivity, sigma, alpha))
+                assert gaussian_rdp_ulp_error(value, sensitivity, sigma, alpha) <= 1.5
+                if math.log2(alpha).is_integer():
+                    assert value == exact
+                checked += 1
+        assert checked > 2000
+
     @pytest.mark.parametrize("name,sensitivity,sigma", [
         ("sensitivity", math.nan, 1.0),
         ("sensitivity", math.inf, 1.0),
@@ -522,6 +543,17 @@ class TestCalibrateSigma:
         # the noise scale itself leaves the float range
         with pytest.raises(ValueError, match="out of float range"):
             calibrate_sigma(DpPoint(*target), rounds=rounds, sensitivity=sensitivity)
+
+    @pytest.mark.parametrize(
+        "sensitivity,sigma", [(5e-324, 2e-323), (1e-323, 3.5e-323), (3e-322, 1.042e-321)]
+    )
+    def test_subnormal_sensitivity_gets_the_smallest_subnormal_noise(self, sensitivity, sigma):
+        # further from 3.4527 * s than at a normal s, because the subnormal
+        # grid has no float there: the predecessor of sigma misses the target
+        target = DpPoint(5.0, 1e-5)
+        assert calibrate_sigma(target, 10, sensitivity) == sigma
+        assert converted_epsilon(sigma, 10, 1e-5, sensitivity) <= 5.0
+        assert converted_epsilon(math.nextafter(sigma, 0), 10, 1e-5, sensitivity) > 5.0
 
     @pytest.mark.parametrize(
         "rounds,sensitivity",

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -402,6 +403,12 @@ finite = dict(allow_nan=False, allow_infinity=False)
 @st.composite
 def fl_configs(draw):
     n_total = draw(st.integers(1, 1000))
+    k = draw(st.none() | st.integers(2, 10**6))
+    # a lattice needs (k - 1) * c_q and 2 * c_q in float range; one ulp below
+    # the quotient, because the quotient itself rounds
+    c_q_max = sys.float_info.max
+    if k is not None:
+        c_q_max = math.nextafter(c_q_max / max(2, k - 1), 0)
     return FlRunConfig(
         n_clients_total=n_total,
         n_sampled=draw(st.integers(1, n_total)),
@@ -409,9 +416,9 @@ def fl_configs(draw):
         local_steps=draw(st.integers(1, 10**4)),
         learning_rate=draw(st.floats(min_value=0.0, **finite)),
         batch_size=draw(st.integers(1, 10**4)),
-        c_q=draw(st.floats(min_value=0.0, exclude_min=True, **finite)),
+        c_q=draw(st.floats(min_value=0.0, max_value=c_q_max, exclude_min=True, **finite)),
         sigma=draw(st.floats(min_value=0.0, **finite)),
-        k=draw(st.none() | st.integers(2, 10**6)),
+        k=k,
         seed=draw(st.integers(0, 2**63)),
         dimension=draw(st.integers(1, 500)),
         samples_per_client=draw(st.integers(1, 500)),

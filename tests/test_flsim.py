@@ -60,6 +60,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="k must be"):
             make_config(k=1)
 
+    def test_quantizer_level_must_be_an_integer(self):
+        # the lattice of k = 2.5 has its top level above c_q; no run may train on it
+        with pytest.raises(ValueError, match="integer k"):
+            make_config(k=2.5)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["sigma", "learning_rate", "c_q"])
     def test_rejects_nonfinite_real(self, name, value):

@@ -230,6 +230,18 @@ class TestAuditRun:
         with pytest.raises(ValueError, match="members"):
             audit_run(config, AttackConfig(audit_size=1000))
 
+    def test_lattice_out_of_float_range_rejected_before_training(self, monkeypatch):
+        fits, sgd = [], flsim.sgd
+
+        def counted(*args):
+            fits.append(args)
+            return sgd(*args)
+
+        monkeypatch.setattr(flsim, "sgd", counted)
+        with pytest.raises(ValueError, match="out of float range"):
+            audit_run(dataclasses.replace(leak_config(0, k=3), c_q=1e308), AttackConfig())
+        assert fits == []
+
     def test_task_data_drawn_once(self, monkeypatch):
         draws = []
 

@@ -27,6 +27,15 @@ class TestQuantizerSpec:
         with pytest.raises(ValueError):
             QuantizerSpec(k=4, c_q=-1.0)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0])
+    def test_levels_must_be_an_integer(self, k):
+        # k = 2.5 would put the top level at 1.667 c_q, above the clipping radius
+        with pytest.raises(ValueError, match="integer k"):
+            QuantizerSpec(k=k, c_q=1.0)
+
+    def test_numpy_integer_levels_accepted(self):
+        assert QuantizerSpec(k=np.int64(5), c_q=1.0).levels().tolist() == [-1, -0.5, 0, 0.5, 1]
+
     @pytest.mark.parametrize("k,c_q", [(2, 1e308), (1024, 1e306), (2, math.inf), (10**400, 1.0)])
     def test_lattice_out_of_float_range_rejected(self, k, c_q):
         # 2*c_q (the spacing) or (k - 1)*c_q (the top level's numerator) overflows
@@ -74,6 +83,11 @@ class TestClipVector:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             clip_vector([1.0], 0.0)
+
+    def test_rejects_infinite_radius(self):
+        # inf / inf would make every entry NaN
+        with pytest.raises(ValueError, match="radius must be finite"):
+            clip_vector([1.0, 2.0], math.inf)
 
     def test_clips_row_by_row(self):
         # rows inside, on and outside the ball; each row as if clipped alone
