@@ -14,6 +14,7 @@ Epsilons are in nats.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,10 +170,10 @@ def calibrate_sigma(target: DpPoint, rounds: int, sensitivity: float) -> float:
     At order alpha the composed, converted budget is
     rounds*alpha*s^2/(2*sigma^2) + log(1/delta)/(alpha - 1), so each order on
     DEFAULT_ALPHA_GRID has a closed-form noise scale; the smallest one wins,
-    nudged up by ulps until ``rounds * gaussian_rdp_baseline`` plus the slack
-    meets the target too. The nudge never steps down, so a float a few ulps smaller
-    (up to 9 in 200,000 random targets) may meet the target as well. Raises if the
-    target is unreachable at any noise scale (the conversion slack alone exceeds it).
+    then moves to the smallest float at which ``rounds *
+    gaussian_rdp_baseline`` plus that order's slack meets the target too.
+    Raises if the target is unreachable at any noise scale (the conversion
+    slack alone exceeds it).
     """
     if not isinstance(rounds, (int, np.integer)) or rounds < 1:
         raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
@@ -193,6 +194,23 @@ def calibrate_sigma(target: DpPoint, rounds: int, sensitivity: float) -> float:
     )
     if not 0 < sigma < math.inf:
         raise ValueError(f"the noise scale for {target} over {rounds} rounds is out of float range")
-    while rounds * gaussian_rdp_baseline(sensitivity, sigma, alpha) + slack[alpha] > target.epsilon:
-        sigma = math.nextafter(sigma, math.inf)
-    return sigma
+
+    def meets(bits):  # at the float with these bits; positive floats sort as their bits
+        (sigma,) = struct.unpack("<d", struct.pack("<q", bits))
+        return rounds * gaussian_rdp_baseline(sensitivity, sigma, alpha) + slack[alpha] <= target.epsilon
+
+    # gallop from the closed form to a bracket where lo misses and hi meets,
+    # then bisect it down to adjacent floats
+    (bits,) = struct.unpack("<q", struct.pack("<d", sigma))
+    if meets(bits):
+        lo, hi, step = bits - 1, bits, 1
+        while lo > 0 and meets(lo):
+            lo, hi, step = max(lo - 2 * step, 0), lo, 2 * step
+    else:
+        lo, hi, step = bits, bits + 1, 1
+        while not meets(hi):
+            lo, hi, step = hi, hi + 2 * step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    return struct.unpack("<d", struct.pack("<q", hi))[0]

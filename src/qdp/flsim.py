@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import typing
@@ -174,6 +175,79 @@ def evaluate(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[float, 
     return float(np.mean(correct)), float(np.mean(cross_entropy_losses(weights, x, y)))
 
 
+def _cells(keys: np.ndarray) -> np.ndarray:
+    # per row r of a 2-D int array of width w, flat cells r * w + (rank of the
+    # key among the row's distinct keys): equal keys in a row share a cell
+    base = np.arange(len(keys))[:, None] * keys.shape[1]
+    order = np.argsort(keys, axis=1, kind="stable") + base
+    ascending = keys.ravel()[order]
+    cells = np.empty(keys.size, dtype=np.int64)
+    cells[order] = np.cumsum(np.diff(ascending, axis=1, prepend=-1) != 0, axis=1) - 1 + base
+    return cells.reshape(keys.shape)
+
+
+def _batch_indices(rngs: list[np.random.Generator], n: int, batch_size: int, steps: int):
+    """``steps`` draws of ``rng.choice(n, size=batch_size, replace=False)`` from
+    each generator, as one (m, steps, batch_size) int64 block.
+
+    Equal to the per-step calls, and leaves each generator in the same state,
+    for 1 <= batch_size < n <= 2**32. It replays numpy's algorithm over all
+    models and steps at once, looping only over batch positions. Each draw
+    maps one uint32 word onto range(bound) by Lemire's method: Floyd's
+    selection with bounds n-b+1, ..., n, then a Fisher-Yates shuffle with
+    bounds b, ..., 2; or, where n > 10000 and b > n // 50, a shuffle of the
+    tail of arange(n) with bounds n, ..., n-b+1, tracking only the <= 2b
+    positions it touches. A rejected word is redrawn, so every later draw
+    takes the word after its own.
+    """
+    b = batch_size
+    if not 1 <= b < n <= 2**32:
+        raise ValueError(f"need 1 <= batch_size < n <= 2**32, got batch {b} of {n}")
+    tail = n > 10000 and b > n // 50
+    step_bounds = np.arange(n, n - b, -1) if tail else np.r_[n - b + 1:n + 1, b:1:-1]
+    bounds = np.tile(step_bounds.astype(np.uint64), steps)
+    threshold = 2**32 % bounds  # Lemire rejects a word w where w * bound mod 2**32 is below this
+    words = np.stack([
+        rng.integers(0, 2**32, size=bounds.size, dtype=np.uint32) for rng in rngs
+    ]).astype(np.uint64)
+    for row in np.flatnonzero(((words * bounds & 0xFFFFFFFF) < threshold).any(axis=1)):
+        w = words[row]
+        while (bad := np.flatnonzero((w * bounds & 0xFFFFFFFF) < threshold)).size:
+            w = np.append(np.delete(w, bad[0]), rngs[row].integers(0, 2**32, dtype=np.uint32))
+        words[row] = w
+    draws = (words * bounds >> 32).astype(np.int64).reshape(-1, len(step_bounds))
+    if tail:
+        # numpy swaps position i = n-1, ..., n-b of arange(n) with a draw
+        # j <= i and returns positions n-b, ..., n-1; each touched position
+        # has a cell in data that holds its current value
+        keys = np.concatenate(
+            [np.broadcast_to(np.arange(n - 1, n - b - 1, -1), draws.shape), draws], axis=1
+        )
+        cell = _cells(keys)
+        data = np.empty(keys.size, dtype=np.int64)
+        data[cell] = keys
+        swaps = zip(cell[:, :b].T, cell[:, b:].T)
+    else:
+        # Floyd: draw t, in [0, n-b+t], is selected unless it already is, and
+        # then n-b+t is; taken marks each row's selected values by cell
+        vals, tops = draws[:, :b], np.arange(n - b, n)
+        cell = _cells(np.concatenate([vals, np.broadcast_to(tops, vals.shape)], axis=1))
+        taken = np.zeros(cell.size, dtype=bool)
+        data = vals.copy()
+        for t in range(b):
+            hit = taken[cell[:, t]]
+            data[hit, t] = tops[t]
+            taken[np.where(hit, cell[:, b + t], cell[:, t])] = True
+        data = data.ravel()
+        base = np.arange(len(draws)) * b
+        swaps = ((base + i, base + j) for i, j in zip(range(b - 1, 0, -1), draws[:, b:].T))
+    for i, j in swaps:  # one swap position of every row at once
+        data[i], data[j] = data[j], data[i]
+    if tail:
+        data = data[cell[:, b - 1::-1]]
+    return data.reshape(len(rngs), steps, b)
+
+
 def sgd(
     weights: np.ndarray,
     x: np.ndarray,
@@ -186,11 +260,14 @@ def sgd(
     """Mini-batch SGD on the logistic loss for m models at once; returns their new weights.
 
     ``weights`` is (m, d+1), ``x`` is (m, n, d) and ``y`` is (m, n): model j
-    trains on ``x[j]``, ``y[j]`` and draws from ``rngs[j]``. Each step, every
-    model draws ``batch_size`` distinct indices from its own generator, or
-    takes its whole set without drawing when the batch covers it. Model j's
-    result equals that of a one-model call on its own rows, bit for bit.
-    Clients train from the global weights and shadow models from zeros.
+    trains on ``x[j]``, ``y[j]`` and draws from ``rngs[j]``. Before the first
+    step, every model draws its (steps, batch_size) block of distinct
+    per-step indices from its own generator at once, equal to, and leaving
+    the generator as, a ``rng.choice(n, size=batch_size, replace=False)``
+    per step; a long run draws it in blocks of ~2**18 indices. When the
+    batch covers the set, every step takes it whole and nothing is drawn.
+    Model j's result equals that of a one-model call on its own rows, bit for
+    bit. Clients train from the global weights and shadow models from zeros.
     ``weights`` is not modified.
     """
     m, n = np.shape(y)
@@ -201,13 +278,18 @@ def sgd(
     # C order gives each model's row the layout, and so the matmuls the
     # summation order, of a one-model call
     weights = np.array(weights, dtype=float, order="C")
-    rows = np.arange(m)[:, None]
-    for _ in range(steps):
-        if batch_size < n:
-            idx = np.stack([rng.choice(n, size=batch_size, replace=False) for rng in rngs])
-            bx, by = x[rows, idx], y[rows, idx]
-        else:
-            bx, by = x, y
+    if batch_size < n:
+        rows = np.arange(m)[:, None]
+        # blocks of ~2**18 indices bound the memory of a long run's draw
+        block = max(1, 2**18 // max(1, m * batch_size))
+        steps_idx = itertools.chain.from_iterable(
+            _batch_indices(rngs, n, batch_size, min(block, steps - s)).transpose(1, 0, 2)
+            for s in range(0, steps, block)
+        )
+        batches = ((x[rows, idx], y[rows, idx]) for idx in steps_idx)
+    else:
+        batches = itertools.repeat((x, y), steps)
+    for bx, by in batches:
         weights -= learning_rate * _gradient(weights, bx, by)
     return weights
 

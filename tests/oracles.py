@@ -2,7 +2,8 @@
 
 Everything here is computed by adaptive quadrature, brute-force summation
 or textbook formulas in high-precision arithmetic, never by the library's
-float closed forms, so the two routes stay independent.
+float closed forms, so the two routes stay independent. The one exception,
+``choice_sgd``, shares the library's gradient and pins its stream layout.
 """
 
 import math
@@ -11,6 +12,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 from scipy import integrate
+
+from qdp import flsim
 
 
 def norm_pdf(t, mu, sigma):
@@ -207,3 +210,28 @@ def threshold_sweep_attack_accuracy(scores, is_member):
         predicted = s >= threshold
         roc.append((float(np.mean(predicted[~truth])), float(np.mean(predicted[truth]))))
     return best, roc
+
+
+def choice_sgd(weights, x, y, steps, learning_rate, batch_size, rngs):
+    """``qdp.flsim.sgd`` as a per-step loop: every model draws each step's batch
+    with its own ``rng.choice(n, size=batch_size, replace=False)``.
+
+    The reference for the library's one-block index draw. It shares the
+    library's gradient, so swapped into ``train`` it must give the same
+    bytes: that pins each client stream's layout, not the arithmetic.
+    """
+    m, n = np.shape(y)
+    if n == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    if len(rngs) != m:
+        raise ValueError(f"need one generator per model: {len(rngs)} for {m} models")
+    weights = np.array(weights, dtype=float, order="C")
+    rows = np.arange(m)[:, None]
+    for _ in range(steps):
+        if batch_size < n:
+            idx = np.stack([rng.choice(n, size=batch_size, replace=False) for rng in rngs])
+            bx, by = x[rows, idx], y[rows, idx]
+        else:
+            bx, by = x, y
+        weights -= learning_rate * flsim._gradient(weights, bx, by)
+    return weights

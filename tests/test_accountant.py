@@ -496,6 +496,24 @@ class TestCalibrateSigma:
         assert converted_epsilon(sigma, rounds, delta, sensitivity) <= epsilon
         assert converted_epsilon(sigma * (1 - 1e-9), rounds, delta, sensitivity) > epsilon
 
+    def test_result_is_the_smallest_float_meeting_the_target(self):
+        # seeded targets, half of them within a factor 1 + 1e-12 .. 2 of the
+        # smallest conversion slack, where target.epsilon - slack in the
+        # closed form loses digits: at a factor 1 + 1e-9 it is ~2e8 ulps off
+        rng = np.random.default_rng(22)
+        for i in range(400):
+            delta = float(10 ** rng.uniform(-12, math.log10(0.5)))
+            rounds, sensitivity = int(rng.integers(1, 2001)), float(10 ** rng.uniform(-3, 3))
+            floor = min(math.log(1 / delta) / (a - 1) for a in DEFAULT_ALPHA_GRID)
+            if i % 2:
+                epsilon = floor * (1 + float(10 ** rng.uniform(-12, 0)))
+            else:
+                epsilon = float(10 ** rng.uniform(math.log10(floor) + 0.01, 1.7))
+            sigma = calibrate_sigma(DpPoint(epsilon, delta), rounds, sensitivity)
+            assert converted_epsilon(sigma, rounds, delta, sensitivity) <= epsilon
+            below = math.nextafter(sigma, 0)
+            assert converted_epsilon(below, rounds, delta, sensitivity) > epsilon
+
     def test_matches_closed_form_reference(self):
         # min over the grid of sqrt(rounds * alpha / (2 (eps - log(1/delta)/(alpha - 1)))),
         # evaluated in 100-digit arithmetic for the target (5, 1e-5); these are

@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from qdp import flsim
+from qdp.cli import parse_config
 from qdp.flsim import (
     FlRunConfig,
     aggregate,
@@ -18,9 +23,22 @@ from qdp.flsim import (
 from qdp.pmf import MechanismSpec, NoiseSpec, quantized_gaussian_pmf
 from qdp.quantizer import QuantizerSpec, clip_vector, quantize
 
+from oracles import choice_sgd
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def philox(*key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+def stream_state(rng):
+    """A Philox generator's whole state, half-word buffer included, as plain values."""
+    state = rng.bit_generator.state
+    return (
+        state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+        state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"],
+    )
 
 
 def release(delta, config, rng):
@@ -116,6 +134,78 @@ class TestTaskData:
         assert gap == pytest.approx(3.0, abs=0.1)
 
 
+# generator keys, and how many uint32 words each stream spends first: an odd
+# count leaves half of a Philox word buffered for the next draw
+stream_keys = st.tuples(
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3), st.integers(0, 3)
+)
+
+
+def keyed_streams(key, spent, m):
+    rngs = [philox(*key, j) for j in range(m)]
+    for rng in rngs:
+        rng.integers(0, 2**32, size=spent, dtype=np.uint32)
+    return rngs
+
+
+class TestBatchIndices:
+    """``_batch_indices`` is numpy's ``choice`` without replacement, replayed in one block."""
+
+    @pytest.mark.parametrize(
+        "n, batch_size",
+        [(8, 4), (64, 16), (5, 4), (2, 1), (9000, 1), (2**32, 1),
+         (10001, 200), (10001, 201), (20000, 500)],
+        ids=["paper", "floyd-64", "floyd-5", "n2-b1", "n9000-b1", "n2pow32-b1",
+             "floyd-at-tail-boundary", "tail-past-boundary", "tail"],
+    )
+    @given(stream_keys, st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_equals_per_step_choice(self, n, batch_size, keys, m, steps):
+        # numpy takes a tail shuffle of arange(n) where n > 10000 and
+        # batch_size > n // 50 (10001 // 50 = 200), and Floyd's selection
+        # otherwise; a numpy whose choice draws differently fails here
+        key, spent = keys
+        block_rngs, choice_rngs = keyed_streams(key, spent, m), keyed_streams(key, spent, m)
+        block = flsim._batch_indices(block_rngs, n, batch_size, steps)
+        per_step = [
+            [rng.choice(n, size=batch_size, replace=False) for _ in range(steps)]
+            for rng in choice_rngs
+        ]
+        assert block.dtype == np.int64 and block.shape == (m, steps, batch_size)
+        np.testing.assert_array_equal(block, per_step)
+        for a, b in zip(block_rngs, choice_rngs):
+            assert stream_state(a) == stream_state(b)
+            assert a.standard_normal() == b.standard_normal()
+
+    @given(stream_keys, st.integers(1, 3), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_per_step_choice_under_lemire_rejection(self, keys, m, steps):
+        # at n = 2**31 + 1 Lemire's map rejects about half of the words drawn
+        # for the largest bounds, and each rejected word is replaced
+        key, spent = keys
+        n = 2**31 + 1
+        block_rngs, choice_rngs = keyed_streams(key, spent, m), keyed_streams(key, spent, m)
+        block = flsim._batch_indices(block_rngs, n, 4, steps)
+        for rows, a, b in zip(block, block_rngs, choice_rngs):
+            np.testing.assert_array_equal(
+                rows, [b.choice(n, size=4, replace=False) for _ in range(steps)]
+            )
+            assert stream_state(a) == stream_state(b)
+            assert a.standard_normal() == b.standard_normal()
+
+    def test_rejected_words_are_redrawn(self):
+        # the rejection path runs: the draw spends more than its 2b - 1 words a step
+        rng, words = philox(22), philox(22)
+        flsim._batch_indices([rng], 2**31 + 1, 4, 3)
+        words.integers(0, 2**32, size=3 * 7, dtype=np.uint32)
+        assert stream_state(rng) != stream_state(words)
+
+    @pytest.mark.parametrize("n, batch_size", [(8, 0), (8, 8), (2**32 + 1, 2)])
+    def test_rejects_sizes_outside_its_range(self, n, batch_size):
+        with pytest.raises(ValueError, match="batch_size < n"):
+            flsim._batch_indices([philox(0)], n, batch_size, 2)
+
+
 class TestLocalUpdate:
     def test_zero_learning_rate_is_identity(self):
         config = make_config(learning_rate=0.0)
@@ -168,6 +258,24 @@ class TestLocalUpdate:
             alone = sgd(start[j:j + 1], xs[j:j + 1], ys[j:j + 1], steps, 0.5, batch_size,
                         [philox(9, j)])
             np.testing.assert_array_equal(batched[j], alone[0])
+
+    @pytest.mark.parametrize("batch_size", [8, 9, 10**9])
+    def test_full_batch_draws_nothing(self, batch_size):
+        # shadow fits, and the noise that follows a client's batches, rely on it
+        x, y = sample_mixture(philox(5), 16, make_config(dimension=2))
+        rngs = [philox(6, j) for j in range(2)]
+        before = [stream_state(rng) for rng in rngs]
+        sgd(np.zeros((2, 3)), x.reshape(2, 8, 2), y.reshape(2, 8), 3, 0.5, batch_size, rngs)
+        assert [stream_state(rng) for rng in rngs] == before
+
+    def test_long_run_draws_in_blocks_equal_to_per_step_choice(self):
+        # 300 steps of 1024 indices pass the ~2**18 block size, so the draw is split
+        x, y = sample_mixture(philox(5), 2048, make_config(dimension=1))
+        rng, oracle_rng = philox(6), philox(6)
+        out = sgd(np.zeros((1, 2)), x[None], y[None], 300, 0.5, 1024, [rng])
+        want = choice_sgd(np.zeros((1, 2)), x[None], y[None], 300, 0.5, 1024, [oracle_rng])
+        assert out.tobytes() == want.tobytes()
+        assert stream_state(rng) == stream_state(oracle_rng)
 
     def test_converges_on_separable_task(self):
         # reference: an independent full-batch gradient-descent loop
@@ -334,6 +442,29 @@ class TestTrain:
             )
             releases.append(privatize_delta(local - start, config, [rng])[0])
         np.testing.assert_array_equal(result.weights, start[0] + np.mean(releases, axis=0))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            config_from_flat_mapping(FlRunConfig, parse_config(CONFIGS / "fl_smoke.conf")),
+            config_from_flat_mapping(FlRunConfig, parse_config(CONFIGS / "mia_base.conf")),
+            # fl_paper's shape (d = 100, batch 4 of 8, k = 16), fewer clients and rounds
+            make_config(n_clients_total=12, n_sampled=6, rounds=4, local_steps=10,
+                        batch_size=4, sigma=0.05, k=16, seed=3, dimension=100),
+            # mia_sweep's target shape (batch 16 of 64)
+            make_config(n_clients_total=4, n_sampled=4, rounds=3, local_steps=10,
+                        batch_size=16, sigma=0.02, k=4, seed=5, dimension=50,
+                        samples_per_client=64),
+        ],
+        ids=["fl_smoke", "mia_base", "fl_paper-shape", "mia-target-shape"],
+    )
+    def test_equals_per_step_choice_oracle(self, config, monkeypatch):
+        # the one-block index draw keeps every byte of the per-step rng.choice loop
+        result = train(config)
+        monkeypatch.setattr(flsim, "sgd", choice_sgd)
+        oracle = train(config)
+        assert result.weights.tobytes() == oracle.weights.tobytes()
+        assert result.metrics == oracle.metrics
 
     def test_identical_seed_identical_metrics(self):
         config = make_config(sigma=0.1, k=8, seed=42)
