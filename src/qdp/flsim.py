@@ -59,6 +59,15 @@ def _stream(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
+def _check_counts(config) -> None:
+    # int fields are counts: 4.5 would pass a range check, then fail in training
+    hints = typing.get_type_hints(type(config))
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if hints[f.name] is int and not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FlRunConfig:
     """Hyperparameters of one federated run; k=None disables quantization.
@@ -84,21 +93,20 @@ class FlRunConfig:
     test_samples: int = 2000
 
     def __post_init__(self):
+        _check_counts(self)
         if not 1 <= self.n_sampled <= self.n_clients_total:
             raise ValueError(
                 f"need 1 <= n_sampled <= n_clients_total, got "
                 f"{self.n_sampled} of {self.n_clients_total}"
             )
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.local_steps < 1:
-            raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
+        for name in ("rounds", "local_steps", "batch_size", "dimension", "samples_per_client",
+                     "test_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.learning_rate < math.inf:
             raise ValueError(
                 f"learning_rate must be finite and nonnegative, got {self.learning_rate}"
             )
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.c_q < math.inf:
             raise ValueError(f"c_q must be finite and positive, got {self.c_q}")
         if not 0 <= self.sigma < math.inf:
@@ -109,14 +117,8 @@ class FlRunConfig:
             QuantizerSpec(self.k, self.c_q)
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.dimension < 1:
-            raise ValueError(f"task dimension must be >= 1, got {self.dimension}")
-        if self.samples_per_client < 1:
-            raise ValueError(f"samples_per_client must be >= 1, got {self.samples_per_client}")
         if not 0 <= self.margin < math.inf:
             raise ValueError(f"margin must be finite and nonnegative, got {self.margin}")
-        if self.test_samples < 1:
-            raise ValueError(f"test_samples must be >= 1, got {self.test_samples}")
 
 
 @dataclass(frozen=True)
@@ -175,15 +177,10 @@ def evaluate(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[float, 
     return float(np.mean(correct)), float(np.mean(cross_entropy_losses(weights, x, y)))
 
 
-def _cells(keys: np.ndarray) -> np.ndarray:
-    # per row r of a 2-D int array of width w, flat cells r * w + (rank of the
-    # key among the row's distinct keys): equal keys in a row share a cell
-    base = np.arange(len(keys))[:, None] * keys.shape[1]
-    order = np.argsort(keys, axis=1, kind="stable") + base
-    ascending = keys.ravel()[order]
-    cells = np.empty(keys.size, dtype=np.int64)
-    cells[order] = np.cumsum(np.diff(ascending, axis=1, prepend=-1) != 0, axis=1) - 1 + base
-    return cells.reshape(keys.shape)
+# The largest batch whose replay beats numpy's per-step ``choice``. The
+# replay's loops run over batch positions, and it lost to the calls between
+# b = 40 and b = 64 (n = 4b, 10 steps of 16 or 100 models, 2-core x86-64).
+_REPLAY_MAX_BATCH = 32
 
 
 def _batch_indices(rngs: list[np.random.Generator], n: int, batch_size: int, steps: int):
@@ -191,21 +188,20 @@ def _batch_indices(rngs: list[np.random.Generator], n: int, batch_size: int, ste
     each generator, as one (m, steps, batch_size) int64 block.
 
     Equal to the per-step calls, and leaves each generator in the same state,
-    for 1 <= batch_size < n <= 2**32. It replays numpy's algorithm over all
-    models and steps at once, looping only over batch positions. Each draw
-    maps one uint32 word onto range(bound) by Lemire's method: Floyd's
-    selection with bounds n-b+1, ..., n, then a Fisher-Yates shuffle with
-    bounds b, ..., 2; or, where n > 10000 and b > n // 50, a shuffle of the
-    tail of arange(n) with bounds n, ..., n-b+1, tracking only the <= 2b
-    positions it touches. A rejected word is redrawn, so every later draw
-    takes the word after its own.
+    for 1 <= batch_size < n <= 2**32. Above ``_REPLAY_MAX_BATCH`` it makes
+    those calls; up to it, it replays numpy's algorithm over all models and
+    steps at once, looping only over batch positions. Each draw maps one
+    uint32 word onto range(bound) by Lemire's method: Floyd's selection with
+    bounds n-b+1, ..., n, then a Fisher-Yates shuffle with bounds b, ..., 2.
+    A rejected word is redrawn, so every later draw takes the next word.
     """
     b = batch_size
     if not 1 <= b < n <= 2**32:
         raise ValueError(f"need 1 <= batch_size < n <= 2**32, got batch {b} of {n}")
-    tail = n > 10000 and b > n // 50
-    step_bounds = np.arange(n, n - b, -1) if tail else np.r_[n - b + 1:n + 1, b:1:-1]
-    bounds = np.tile(step_bounds.astype(np.uint64), steps)
+    if b > _REPLAY_MAX_BATCH:
+        per_step = [[rng.choice(n, size=b, replace=False) for _ in range(steps)] for rng in rngs]
+        return np.array(per_step, dtype=np.int64)
+    bounds = np.tile(np.r_[n - b + 1:n + 1, b:1:-1].astype(np.uint64), steps)
     threshold = 2**32 % bounds  # Lemire rejects a word w where w * bound mod 2**32 is below this
     words = np.stack([
         rng.integers(0, 2**32, size=bounds.size, dtype=np.uint32) for rng in rngs
@@ -215,36 +211,14 @@ def _batch_indices(rngs: list[np.random.Generator], n: int, batch_size: int, ste
         while (bad := np.flatnonzero((w * bounds & 0xFFFFFFFF) < threshold)).size:
             w = np.append(np.delete(w, bad[0]), rngs[row].integers(0, 2**32, dtype=np.uint32))
         words[row] = w
-    draws = (words * bounds >> 32).astype(np.int64).reshape(-1, len(step_bounds))
-    if tail:
-        # numpy swaps position i = n-1, ..., n-b of arange(n) with a draw
-        # j <= i and returns positions n-b, ..., n-1; each touched position
-        # has a cell in data that holds its current value
-        keys = np.concatenate(
-            [np.broadcast_to(np.arange(n - 1, n - b - 1, -1), draws.shape), draws], axis=1
-        )
-        cell = _cells(keys)
-        data = np.empty(keys.size, dtype=np.int64)
-        data[cell] = keys
-        swaps = zip(cell[:, :b].T, cell[:, b:].T)
-    else:
-        # Floyd: draw t, in [0, n-b+t], is selected unless it already is, and
-        # then n-b+t is; taken marks each row's selected values by cell
-        vals, tops = draws[:, :b], np.arange(n - b, n)
-        cell = _cells(np.concatenate([vals, np.broadcast_to(tops, vals.shape)], axis=1))
-        taken = np.zeros(cell.size, dtype=bool)
-        data = vals.copy()
-        for t in range(b):
-            hit = taken[cell[:, t]]
-            data[hit, t] = tops[t]
-            taken[np.where(hit, cell[:, b + t], cell[:, t])] = True
-        data = data.ravel()
-        base = np.arange(len(draws)) * b
-        swaps = ((base + i, base + j) for i, j in zip(range(b - 1, 0, -1), draws[:, b:].T))
-    for i, j in swaps:  # one swap position of every row at once
-        data[i], data[j] = data[j], data[i]
-    if tail:
-        data = data[cell[:, b - 1::-1]]
+    draws = (words * bounds >> 32).astype(np.int64).reshape(-1, 2 * b - 1)
+    # Floyd: draw t, in [0, n-b+t], is picked unless its row has it; then n-b+t is
+    data = draws[:, :b].copy()
+    for t in range(1, b):
+        data[(data[:, :t] == data[:, t:t + 1]).any(axis=1), t] = n - b + t
+    rows = np.arange(len(data))
+    for i, j in zip(range(b - 1, 0, -1), draws[:, b:].T):  # one swap position of every row at once
+        data[rows, i], data[rows, j] = data[rows, j], data[rows, i]
     return data.reshape(len(rngs), steps, b)
 
 
@@ -262,12 +236,13 @@ def sgd(
     ``weights`` is (m, d+1), ``x`` is (m, n, d) and ``y`` is (m, n): model j
     trains on ``x[j]``, ``y[j]`` and draws from ``rngs[j]``. Before the first
     step, every model draws its (steps, batch_size) block of distinct
-    per-step indices from its own generator at once, equal to, and leaving
-    the generator as, a ``rng.choice(n, size=batch_size, replace=False)``
-    per step; a long run draws it in blocks of ~2**18 indices. When the
-    batch covers the set, every step takes it whole and nothing is drawn.
-    Model j's result equals that of a one-model call on its own rows, bit for
-    bit. Clients train from the global weights and shadow models from zeros.
+    per-step indices from its own generator with ``_batch_indices``, equal
+    to, and leaving the generator as, a ``rng.choice(n, size=batch_size,
+    replace=False)`` per step; a long run draws it in blocks of ~2**18
+    indices. When the batch covers the set, every step takes it whole and
+    nothing is drawn. Model j's result equals that of a one-model call on
+    its own rows, bit for bit. Clients train from the global weights and
+    shadow models from zeros.
     ``weights`` is not modified.
     """
     m, n = np.shape(y)

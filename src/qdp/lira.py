@@ -56,6 +56,7 @@ class AttackConfig:
     audit_size: int = 64
 
     def __post_init__(self):
+        flsim._check_counts(self)
         if self.m_shadows < 2:
             raise ValueError(
                 f"need at least 2 shadow models to fit a variance, got {self.m_shadows}"

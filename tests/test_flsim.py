@@ -99,10 +99,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="samples_per_client"):
             make_config(samples_per_client=0)
 
-    @pytest.mark.parametrize("name, value", [("test_samples", 0), ("seed", -1)])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("test_samples", 0), ("seed", -1),
+         # non-integer counts pass the range checks and would fail in train
+         ("batch_size", 4.5), ("rounds", 2.0), ("local_steps", 1.5), ("seed", 0.5),
+         ("n_sampled", 2.5), ("dimension", "5")],
+    )
     def test_message_names_bad_value(self, name, value):
-        with pytest.raises(ValueError, match=rf"^{name} must .*, got {value}$"):
+        with pytest.raises(ValueError, match=rf"^{name} must .*, got {value!r}$"):
             make_config(**{name: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        config = make_config(batch_size=np.int64(4), rounds=np.int32(2), seed=np.uint8(3))
+        assert train(config).metrics == train(make_config(batch_size=4, rounds=2, seed=3)).metrics
 
 
 class TestTaskData:
@@ -149,21 +159,28 @@ def keyed_streams(key, spent, m):
 
 
 class TestBatchIndices:
-    """``_batch_indices`` is numpy's ``choice`` without replacement, replayed in one block."""
+    """``_batch_indices`` is numpy's ``choice`` without replacement in one block.
+
+    Up to batch 32 it replays numpy's Floyd selection over every model and
+    step at once; above it, it makes the per-step calls. Both sides must
+    equal the per-step calls, draws and generator states alike.
+    """
 
     @pytest.mark.parametrize(
         "n, batch_size",
-        [(8, 4), (64, 16), (5, 4), (2, 1), (9000, 1), (2**32, 1),
-         (10001, 200), (10001, 201), (20000, 500)],
+        [(8, 4), (64, 16), (5, 4), (2, 1), (9000, 1), (2**32, 1), (33, 32), (64, 32),
+         (100, 33), (10001, 200), (10001, 201), (20000, 500)],
         ids=["paper", "floyd-64", "floyd-5", "n2-b1", "n9000-b1", "n2pow32-b1",
+             "replay-at-cutoff-33", "replay-at-cutoff-64", "choice-past-cutoff",
              "floyd-at-tail-boundary", "tail-past-boundary", "tail"],
     )
     @given(stream_keys, st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=15, deadline=None)
     def test_equals_per_step_choice(self, n, batch_size, keys, m, steps):
-        # numpy takes a tail shuffle of arange(n) where n > 10000 and
-        # batch_size > n // 50 (10001 // 50 = 200), and Floyd's selection
-        # otherwise; a numpy whose choice draws differently fails here
+        # batch 32 is the replay's largest and batch 33 the calls' smallest;
+        # numpy's tail shuffle of arange(n), where n > 10000 and batch_size >
+        # n // 50 (10001 // 50 = 200), lies on the calls' side; a numpy whose
+        # choice draws differently fails here
         key, spent = keys
         block_rngs, choice_rngs = keyed_streams(key, spent, m), keyed_streams(key, spent, m)
         block = flsim._batch_indices(block_rngs, n, batch_size, steps)
@@ -177,18 +194,19 @@ class TestBatchIndices:
             assert stream_state(a) == stream_state(b)
             assert a.standard_normal() == b.standard_normal()
 
+    @pytest.mark.parametrize("batch_size", [4, 32])
     @given(stream_keys, st.integers(1, 3), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
-    def test_equals_per_step_choice_under_lemire_rejection(self, keys, m, steps):
+    def test_equals_per_step_choice_under_lemire_rejection(self, batch_size, keys, m, steps):
         # at n = 2**31 + 1 Lemire's map rejects about half of the words drawn
         # for the largest bounds, and each rejected word is replaced
         key, spent = keys
         n = 2**31 + 1
         block_rngs, choice_rngs = keyed_streams(key, spent, m), keyed_streams(key, spent, m)
-        block = flsim._batch_indices(block_rngs, n, 4, steps)
+        block = flsim._batch_indices(block_rngs, n, batch_size, steps)
         for rows, a, b in zip(block, block_rngs, choice_rngs):
             np.testing.assert_array_equal(
-                rows, [b.choice(n, size=4, replace=False) for _ in range(steps)]
+                rows, [b.choice(n, size=batch_size, replace=False) for _ in range(steps)]
             )
             assert stream_state(a) == stream_state(b)
             assert a.standard_normal() == b.standard_normal()
@@ -455,11 +473,16 @@ class TestTrain:
             make_config(n_clients_total=4, n_sampled=4, rounds=3, local_steps=10,
                         batch_size=16, sigma=0.02, k=4, seed=5, dimension=50,
                         samples_per_client=64),
+            # batch 64 of 256, past the replay's cutoff
+            make_config(n_clients_total=4, n_sampled=3, rounds=2, local_steps=10,
+                        batch_size=64, sigma=0.02, k=16, seed=6, dimension=20,
+                        samples_per_client=256),
         ],
-        ids=["fl_smoke", "mia_base", "fl_paper-shape", "mia-target-shape"],
+        ids=["fl_smoke", "mia_base", "fl_paper-shape", "mia-target-shape", "batch-64-of-256"],
     )
     def test_equals_per_step_choice_oracle(self, config, monkeypatch):
-        # the one-block index draw keeps every byte of the per-step rng.choice loop
+        # the one-block index draw keeps every byte of the per-step rng.choice
+        # loop, on both sides of the replay's cutoff
         result = train(config)
         monkeypatch.setattr(flsim, "sgd", choice_sgd)
         oracle = train(config)

@@ -58,6 +58,14 @@ class TestAttackConfig:
         with pytest.raises(ValueError, match="even"):
             AttackConfig(audit_size=63)
 
+    @pytest.mark.parametrize("name, value", [("m_shadows", 4.5), ("audit_size", 64.0)])
+    def test_rejects_non_integer_count(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            AttackConfig(**{name: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        assert AttackConfig(m_shadows=np.int64(4), audit_size=np.int64(8)).m_shadows == 4
+
 
 class TestFitOutDistribution:
     def test_population_convention(self):
