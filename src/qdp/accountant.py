@@ -65,7 +65,8 @@ def renyi_divergence(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> floa
     The KL sum at alpha = 1, the log-mean-exponential form at finite alpha,
     the worst-case log ratio at alpha = inf, all on the log masses, so it
     stays accurate where masses underflow. A level where q vanishes but p
-    does not makes it +inf; true zeros are never clamped.
+    does not makes it +inf; true zeros are never clamped. A NaN log mass
+    raises.
     """
     log_p, log_q = np.asarray(log_p, dtype=float), np.asarray(log_q, dtype=float)
     if log_p.ndim != 1 or log_q.ndim != 1:
@@ -76,11 +77,15 @@ def renyi_divergence(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> floa
         raise ValueError(f"pmfs have different numbers of levels: {len(log_p)} vs {len(log_q)}")
     if not alpha >= 1:
         raise ValueError(f"Renyi order must be >= 1, got {alpha}")
+    p_min, q_min = log_p.min(), log_q.min()  # NaN if either holds one
+    if math.isnan(p_min) or math.isnan(q_min):
+        raise ValueError("pmfs must not hold NaN log masses")
     # levels where p vanishes contribute nothing
-    if log_p.min() == -np.inf:
+    if p_min == -np.inf:
         support = log_p > -np.inf
         log_p, log_q = log_p[support], log_q[support]
-    if log_q.min() == -np.inf:
+        q_min = log_q.min()
+    if q_min == -np.inf:
         return math.inf
     log_ratio = log_p - log_q
     if alpha == math.inf:

@@ -188,12 +188,11 @@ def _batch_indices(rngs: list[np.random.Generator], n: int, batch_size: int, ste
     each generator, as one (m, steps, batch_size) int64 block.
 
     Equal to the per-step calls, and leaves each generator in the same state,
-    for 1 <= batch_size < n <= 2**32. Above ``_REPLAY_MAX_BATCH`` it makes
-    those calls; up to it, it replays numpy's algorithm over all models and
-    steps at once, looping only over batch positions. Each draw maps one
-    uint32 word onto range(bound) by Lemire's method: Floyd's selection with
-    bounds n-b+1, ..., n, then a Fisher-Yates shuffle with bounds b, ..., 2.
-    A rejected word is redrawn, so every later draw takes the next word.
+    for 1 <= batch_size < n <= 2**32, the range the tests pin. Above
+    ``_REPLAY_MAX_BATCH`` it makes those calls. Up to it, one ``rng.integers``
+    call per model draws ``choice``'s bounded integers (Floyd's bounds n-b+1,
+    ..., n, then the shuffle's b, ..., 2), and only Floyd's substitution and
+    the swaps are replayed, over all models and steps at once.
     """
     b = batch_size
     if not 1 <= b < n <= 2**32:
@@ -201,17 +200,8 @@ def _batch_indices(rngs: list[np.random.Generator], n: int, batch_size: int, ste
     if b > _REPLAY_MAX_BATCH:
         per_step = [[rng.choice(n, size=b, replace=False) for _ in range(steps)] for rng in rngs]
         return np.array(per_step, dtype=np.int64)
-    bounds = np.tile(np.r_[n - b + 1:n + 1, b:1:-1].astype(np.uint64), steps)
-    threshold = 2**32 % bounds  # Lemire rejects a word w where w * bound mod 2**32 is below this
-    words = np.stack([
-        rng.integers(0, 2**32, size=bounds.size, dtype=np.uint32) for rng in rngs
-    ]).astype(np.uint64)
-    for row in np.flatnonzero(((words * bounds & 0xFFFFFFFF) < threshold).any(axis=1)):
-        w = words[row]
-        while (bad := np.flatnonzero((w * bounds & 0xFFFFFFFF) < threshold)).size:
-            w = np.append(np.delete(w, bad[0]), rngs[row].integers(0, 2**32, dtype=np.uint32))
-        words[row] = w
-    draws = (words * bounds >> 32).astype(np.int64).reshape(-1, 2 * b - 1)
+    bounds = np.tile(np.r_[n - b + 1:n + 1, b:1:-1], steps)
+    draws = np.stack([rng.integers(0, bounds) for rng in rngs]).reshape(-1, 2 * b - 1)
     # Floyd: draw t, in [0, n-b+t], is picked unless its row has it; then n-b+t is
     data = draws[:, :b].copy()
     for t in range(1, b):
@@ -235,15 +225,13 @@ def sgd(
 
     ``weights`` is (m, d+1), ``x`` is (m, n, d) and ``y`` is (m, n): model j
     trains on ``x[j]``, ``y[j]`` and draws from ``rngs[j]``. Before the first
-    step, every model draws its (steps, batch_size) block of distinct
-    per-step indices from its own generator with ``_batch_indices``, equal
-    to, and leaving the generator as, a ``rng.choice(n, size=batch_size,
-    replace=False)`` per step; a long run draws it in blocks of ~2**18
-    indices. When the batch covers the set, every step takes it whole and
-    nothing is drawn. Model j's result equals that of a one-model call on
-    its own rows, bit for bit. Clients train from the global weights and
-    shadow models from zeros.
-    ``weights`` is not modified.
+    step it draws its (steps, batch_size) indices with ``_batch_indices``:
+    the draws, and the generator state after them, of a ``rng.choice(n,
+    size=batch_size, replace=False)`` per step, in blocks of ~2**18 indices.
+    When the batch covers the set, every step takes it whole and nothing is
+    drawn. Model j's result equals that of a one-model call on its own rows,
+    bit for bit. Clients train from the global weights and shadow models
+    from zeros. ``weights`` is not modified.
     """
     m, n = np.shape(y)
     if n == 0:
@@ -275,12 +263,15 @@ def privatize_delta(
     """Release each row of ``deltas``: clip to c_q/2, add N(0, sigma^2) per coordinate, quantize.
 
     With sigma = 0 the noise stage is the identity; with k = None the
-    quantizer stage is. Row j draws from ``rngs[j]``: its d + 1 noise values,
-    then its d + 1 rounding uniforms, so the stream layout is fixed. After the
-    clip every stage is elementwise (noise, then ``quantize``'s clamp and
-    rounding), so each coordinate is released by the mechanism whose level
-    pmf the accountant computes.
+    quantizer stage is. ``deltas`` is a nonempty (m, d+1) stack and row j
+    draws from ``rngs[j]``: its d + 1 noise values, then its d + 1 rounding
+    uniforms, so the stream layout is fixed. After the clip every stage is
+    elementwise (noise, then ``quantize``'s clamp and rounding), so each
+    coordinate is released by the mechanism whose level pmf the accountant
+    computes.
     """
+    if np.ndim(deltas) != 2 or not 0 < len(deltas) == len(rngs):
+        raise ValueError(f"need one generator per row: {len(rngs)} for {np.shape(deltas)} deltas")
     h = clip_vector(deltas, config.c_q / 2.0)
     width = h.shape[-1]
     if config.sigma > 0:

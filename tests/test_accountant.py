@@ -103,6 +103,21 @@ class TestRenyiDivergence:
         expected = 0.5 * math.log(0.5 / 0.4) * 2
         assert renyi_divergence(p, q, 1.0) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize(
+        "p, q",
+        [([math.nan, 0.0], [math.log(0.5)] * 2),
+         ([math.log(0.5)] * 2, [math.log(0.5), math.nan]),
+         ([-math.inf, 0.0], [math.nan, 0.0]),
+         ([math.nan, -math.inf], [math.nan, 0.0])],
+        ids=["nan-in-p", "nan-in-q", "nan-in-q-where-p-vanishes", "nan-in-both"],
+    )
+    def test_rejects_nan_log_masses(self, p, q, alpha):
+        # NaN fails every comparison, so it would slip past the -inf checks and
+        # come out as the divergence, or be dropped with p's zero levels
+        with pytest.raises(ValueError, match="NaN"):
+            renyi_divergence(p, q, alpha)
+
     def test_rejects_order_below_one(self):
         p = two_level_pmf(0.5)
         with pytest.raises(ValueError, match=">= 1"):

@@ -168,9 +168,9 @@ class TestBatchIndices:
 
     @pytest.mark.parametrize(
         "n, batch_size",
-        [(8, 4), (64, 16), (5, 4), (2, 1), (9000, 1), (2**32, 1), (33, 32), (64, 32),
-         (100, 33), (10001, 200), (10001, 201), (20000, 500)],
-        ids=["paper", "floyd-64", "floyd-5", "n2-b1", "n9000-b1", "n2pow32-b1",
+        [(8, 4), (64, 16), (5, 4), (2, 1), (9000, 1), (2**32, 1), (2**32, 32), (33, 32),
+         (64, 32), (100, 33), (10001, 200), (10001, 201), (20000, 500)],
+        ids=["paper", "floyd-64", "floyd-5", "n2-b1", "n9000-b1", "n2pow32-b1", "n2pow32-b32",
              "replay-at-cutoff-33", "replay-at-cutoff-64", "choice-past-cutoff",
              "floyd-at-tail-boundary", "tail-past-boundary", "tail"],
     )
@@ -178,6 +178,8 @@ class TestBatchIndices:
     @settings(max_examples=15, deadline=None)
     def test_equals_per_step_choice(self, n, batch_size, keys, m, steps):
         # batch 32 is the replay's largest and batch 33 the calls' smallest;
+        # at n = 2**32 Floyd's first bound is numpy's raw-word case, among
+        # bounds it maps by Lemire's method;
         # numpy's tail shuffle of arange(n), where n > 10000 and batch_size >
         # n // 50 (10001 // 50 = 200), lies on the calls' side; a numpy whose
         # choice draws differently fails here
@@ -376,6 +378,20 @@ class TestPrivatizeDelta:
         out = privatize_delta(np.broadcast_to(delta, (n, 6)), config, [philox(4)] * n)
         se = np.sqrt(out.var(axis=0) / n)
         assert np.all(np.abs(out.mean(axis=0) - delta) < 4 * se)
+
+    @pytest.mark.parametrize("n_rngs", [1, 3, 0])
+    def test_needs_one_generator_per_row(self, n_rngs):
+        # one generator shared by five rows would give them all the same noise
+        config = make_config(sigma=0.3, k=None)
+        message = rf"one generator per row: {n_rngs} for \(5, 6\) deltas"
+        with pytest.raises(ValueError, match=message):
+            privatize_delta(np.zeros((5, 6)), config, [philox(6, j) for j in range(n_rngs)])
+
+    @pytest.mark.parametrize("shape", [(6,), (0, 6), (2, 3, 6)])
+    def test_needs_a_nonempty_stack_of_rows(self, shape):
+        config = make_config(sigma=0.3, k=16)
+        with pytest.raises(ValueError, match="one generator per row"):
+            privatize_delta(np.zeros(shape), config, [philox(7)] * (shape[0] or 1))
 
 
 class TestAggregate:
