@@ -18,7 +18,7 @@ from .accountant import (
     renyi_divergence,
 )
 from .flsim import FlRunConfig, RunResult, train
-from .lira import AttackConfig, AttackReport, audit_run
+from .lira import AttackReport, audit_run
 from .pmf import MechanismSpec, NoiseSpec, quantized_gaussian_pmf
 from .quantizer import QuantizerSpec, clip_vector, quantize
 
@@ -40,7 +40,6 @@ __all__ = [
     "FlRunConfig",
     "RunResult",
     "train",
-    "AttackConfig",
     "AttackReport",
     "audit_run",
 ]

@@ -65,8 +65,8 @@ def renyi_divergence(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> floa
     The KL sum at alpha = 1, the log-mean-exponential form at finite alpha,
     the worst-case log ratio at alpha = inf, all on the log masses, so it
     stays accurate where masses underflow. A level where q vanishes but p
-    does not makes it +inf; true zeros are never clamped. A NaN log mass
-    raises.
+    does not makes it +inf; true zeros are never clamped. A NaN log mass,
+    empty pmfs and a p without mass raise.
     """
     log_p, log_q = np.asarray(log_p, dtype=float), np.asarray(log_q, dtype=float)
     if log_p.ndim != 1 or log_q.ndim != 1:
@@ -75,6 +75,8 @@ def renyi_divergence(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> floa
         )
     if len(log_p) != len(log_q):
         raise ValueError(f"pmfs have different numbers of levels: {len(log_p)} vs {len(log_q)}")
+    if not len(log_p):
+        raise ValueError("pmfs p and q have no levels")
     if not alpha >= 1:
         raise ValueError(f"Renyi order must be >= 1, got {alpha}")
     p_min, q_min = log_p.min(), log_q.min()  # NaN if either holds one
@@ -84,6 +86,8 @@ def renyi_divergence(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> floa
     if p_min == -np.inf:
         support = log_p > -np.inf
         log_p, log_q = log_p[support], log_q[support]
+        if not len(log_p):
+            raise ValueError("pmf p has no mass: every log mass is -inf")
         q_min = log_q.min()
     if q_min == -np.inf:
         return math.inf

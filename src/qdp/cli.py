@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -19,7 +18,6 @@ from pathlib import Path
 
 from . import __version__, accountant, flsim, lira
 from .flsim import FlRunConfig
-from .lira import AttackConfig
 from .pmf import NoiseSpec
 from .quantizer import QuantizerSpec
 
@@ -43,18 +41,12 @@ def parse_config(path: Path | str) -> dict[str, str]:
     return mapping
 
 
-def _load_configs(args) -> tuple[FlRunConfig, AttackConfig]:
-    """Both configs from the file; --seed overrides the file's seed."""
+def _load_config(args) -> FlRunConfig:
+    """The config from the file; --seed overrides the file's seed."""
     mapping = parse_config(args.config)
     if args.seed is not None:
         mapping["seed"] = str(args.seed)
-    fl_config = flsim.config_from_flat_mapping(FlRunConfig, mapping)
-    attack_config = flsim.config_from_flat_mapping(AttackConfig, mapping)
-    known = {f.name for cls in (FlRunConfig, AttackConfig) for f in dataclasses.fields(cls)}
-    for key in mapping:
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-    return fl_config, attack_config
+    return flsim.config_from_flat_mapping(FlRunConfig, mapping)
 
 
 def _write_manifest(command: str, config_path: str, seed: int, out_dir: Path) -> None:
@@ -97,7 +89,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fl_train(args) -> int:
-    config, _ = _load_configs(args)
+    config = _load_config(args)
     result = flsim.train(config)
     out_dir = Path(args.out)
     flsim.write_run_artifact(result, out_dir)
@@ -108,12 +100,12 @@ def _cmd_fl_train(args) -> int:
 
 
 def _cmd_mia(args) -> int:
-    fl_config, attack_config = _load_configs(args)
-    report = lira.audit_run(fl_config, attack_config)
+    config = _load_config(args)
+    report = lira.audit_run(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lira.write_report(report, fl_config, attack_config, out_dir / "report.json")
-    _write_manifest("mia", str(args.config), fl_config.seed, out_dir)
+    lira.write_report(report, config, out_dir / "report.json")
+    _write_manifest("mia", str(args.config), config.seed, out_dir)
     print(f"attack accuracy: {report.accuracy:.4f}")
     return 0
 

@@ -59,22 +59,15 @@ def _stream(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def _check_counts(config) -> None:
-    # int fields are counts: 4.5 would pass a range check, then fail in training
-    hints = typing.get_type_hints(type(config))
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if hints[f.name] is int and not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class FlRunConfig:
-    """Hyperparameters of one federated run; k=None disables quantization.
+    """Hyperparameters of one federated run and of its audit; k=None disables quantization.
 
     The task is a two-Gaussian mixture: class means sit at +-margin/2 along
     the first feature axis with unit isotropic covariance, so the Bayes
-    accuracy is Phi(margin/2).
+    accuracy is Phi(margin/2). ``m_shadows`` and ``audit_size`` size the
+    membership-inference audit of ``lira``; training does not read them, and
+    the audit has no seed of its own.
     """
 
     n_clients_total: int
@@ -91,9 +84,16 @@ class FlRunConfig:
     samples_per_client: int = 8
     margin: float = 1.5
     test_samples: int = 2000
+    m_shadows: int = 16
+    audit_size: int = 64
 
     def __post_init__(self):
-        _check_counts(self)
+        # int fields are counts: 4.5 would pass a range check, then fail in training
+        hints = typing.get_type_hints(FlRunConfig)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if hints[f.name] is int and not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if not 1 <= self.n_sampled <= self.n_clients_total:
             raise ValueError(
                 f"need 1 <= n_sampled <= n_clients_total, got "
@@ -111,14 +111,19 @@ class FlRunConfig:
             raise ValueError(f"c_q must be finite and positive, got {self.c_q}")
         if not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        if self.k is not None and self.k < 2:
-            raise ValueError(f"quantization level k must be >= 2 or None, got {self.k}")
-        if self.k is not None:  # QuantizerSpec owns the lattice rules (integer k, float range)
+        # QuantizerSpec owns the lattice rules: an integer k >= 2, in float range
+        if self.k is not None:
             QuantizerSpec(self.k, self.c_q)
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if not 0 <= self.margin < math.inf:
             raise ValueError(f"margin must be finite and nonnegative, got {self.margin}")
+        if self.m_shadows < 2:
+            raise ValueError(
+                f"need at least 2 shadow models to fit a variance, got {self.m_shadows}"
+            )
+        if self.audit_size < 2 or self.audit_size % 2 != 0:
+            raise ValueError(f"audit_size must be even and >= 2, got {self.audit_size}")
 
 
 @dataclass(frozen=True)
@@ -356,11 +361,14 @@ def config_from_flat_mapping(cls, mapping: dict[str, str]):
     """Build the config dataclass ``cls`` from the schema of ``config_as_flat_mapping``.
 
     Values are parsed by each field's annotation; ``none`` (any case) gives
-    None where a field admits it. Keys that are not fields of ``cls`` are
-    left alone, so one file can carry several configs. A field without a
-    default must be present. Errors name the offending key.
+    None where a field admits it. A key that is not a field of ``cls`` is an
+    error, and a field without a default must be present. Errors name the
+    offending key.
     """
     hints = typing.get_type_hints(cls)
+    for key in mapping:
+        if key not in hints:
+            raise ValueError(f"unknown config key {key!r}")
     values = {}
     for f in dataclasses.fields(cls):
         if f.name in mapping:

@@ -6,7 +6,8 @@ distribution under non-membership), and scores membership of each audit
 sample by the upper-tail probability of the target model's loss under that
 fit: unusually low loss means member-like. Reported accuracy is the maximal
 balanced accuracy over score thresholds. Every draw comes from a Philox
-stream keyed on the run seed, so the run's config alone fixes the audit.
+stream keyed on the run seed, so the run's config, which also sizes the
+shadow ensemble and the audit set, alone fixes the audit.
 The fit depends on the task and the seed, not the mechanism: ``fit_attack``
 fits once and returns a scorer for targets of any sigma and k.
 """
@@ -24,7 +25,6 @@ from . import flsim
 from .flsim import FlRunConfig
 
 __all__ = [
-    "AttackConfig",
     "AttackReport",
     "fit_out_distribution",
     "score",
@@ -40,29 +40,6 @@ SIGMA_FLOOR = 1e-6
 _MEMBER_STREAM = 0
 _NONMEMBER_STREAM = 1
 _SHADOW_STREAM = 2
-
-
-@dataclass(frozen=True)
-class AttackConfig:
-    """Shadow-ensemble size and audit-set size; the attack has no seed of its own.
-
-    Each shadow model is trained centrally on fresh draws from the task
-    distribution, as many samples as the target trains on, for the target's
-    ``rounds * local_steps`` full-batch steps at its learning rate. Scoring
-    works on raw losses.
-    """
-
-    m_shadows: int = 16
-    audit_size: int = 64
-
-    def __post_init__(self):
-        flsim._check_counts(self)
-        if self.m_shadows < 2:
-            raise ValueError(
-                f"need at least 2 shadow models to fit a variance, got {self.m_shadows}"
-            )
-        if self.audit_size < 2 or self.audit_size % 2 != 0:
-            raise ValueError(f"audit_size must be even and >= 2, got {self.audit_size}")
 
 
 @dataclass(frozen=True)
@@ -133,17 +110,21 @@ def attack_accuracy(scores, is_member) -> tuple[float, list[tuple[float, float]]
     return accuracy, [(0.0, 0.0)] + list(zip(fpr[::-1].tolist(), tpr[::-1].tolist()))
 
 
-def fit_attack(fl_config: FlRunConfig, attack_config: AttackConfig, task):
+def fit_attack(config: FlRunConfig, task):
     """Draw the audit set from ``task``, fit the shadows, and return ``attack``.
 
-    ``task`` is ``flsim.make_task_data(fl_config)``; ``attack(target_weights)``
+    ``task`` is ``flsim.make_task_data(config)``; ``attack(target_weights)``
     returns an ``AttackReport``. Audit members come from the task's training
     data; non-members and every shadow shard are fresh draws, each from its
-    own stream, so no shadow trains on an audit sample.
+    own stream, so no shadow trains on an audit sample. Each of the
+    ``config.m_shadows`` shadow models is trained centrally on as many
+    samples as the target trains on, for the target's ``rounds *
+    local_steps`` full-batch steps at its learning rate. Scoring works on
+    raw losses.
     """
-    half = attack_config.audit_size // 2
+    half = config.audit_size // 2
     (shard_x, shard_y), _ = task
-    train_x = shard_x.reshape(-1, fl_config.dimension)
+    train_x = shard_x.reshape(-1, config.dimension)
     train_y = shard_y.reshape(-1)
     n_train = len(train_y)
     if half > n_train:
@@ -151,25 +132,25 @@ def fit_attack(fl_config: FlRunConfig, attack_config: AttackConfig, task):
             f"audit set needs {half} members but the target trains on {n_train} samples"
         )
 
-    member_rng = flsim._stream(fl_config.seed, _MEMBER_STREAM)
+    member_rng = flsim._stream(config.seed, _MEMBER_STREAM)
     member_ids = np.sort(member_rng.choice(n_train, size=half, replace=False))
-    nonmember_rng = flsim._stream(fl_config.seed, _NONMEMBER_STREAM)
-    fresh_x, fresh_y = flsim.sample_mixture(nonmember_rng, half, fl_config)
+    nonmember_rng = flsim._stream(config.seed, _NONMEMBER_STREAM)
+    fresh_x, fresh_y = flsim.sample_mixture(nonmember_rng, half, config)
 
     audit_x = np.vstack([train_x[member_ids], fresh_x])
     audit_y = np.concatenate([train_y[member_ids], fresh_y])
     audit_ids = member_ids.tolist() + list(range(n_train, n_train + half))
     is_member = np.arange(2 * half) < half
 
-    steps = fl_config.rounds * fl_config.local_steps
-    start = np.zeros((1, fl_config.dimension + 1))
+    steps = config.rounds * config.local_steps
+    start = np.zeros((1, config.dimension + 1))
     models = []
     # one shadow per call: batching these full-batch fits measured slower
-    for m in range(attack_config.m_shadows):
-        shadow_rng = flsim._stream(fl_config.seed, _SHADOW_STREAM, m)
-        sx, sy = flsim.sample_mixture(shadow_rng, n_train, fl_config)
+    for m in range(config.m_shadows):
+        shadow_rng = flsim._stream(config.seed, _SHADOW_STREAM, m)
+        sx, sy = flsim.sample_mixture(shadow_rng, n_train, config)
         (weights,) = flsim.sgd(
-            start, sx[None], sy[None], steps, fl_config.learning_rate, n_train, [shadow_rng]
+            start, sx[None], sy[None], steps, config.learning_rate, n_train, [shadow_rng]
         )
         models.append(weights)
     mu_out, sigma_out = fit_out_distribution(models, audit_x, audit_y)
@@ -187,28 +168,22 @@ def fit_attack(fl_config: FlRunConfig, attack_config: AttackConfig, task):
     return attack
 
 
-def audit_run(fl_config: FlRunConfig, attack_config: AttackConfig) -> AttackReport:
+def audit_run(config: FlRunConfig) -> AttackReport:
     """Train the target on its task and mount the offline attack of ``fit_attack`` on it."""
-    task = flsim.make_task_data(fl_config)
-    attack = fit_attack(fl_config, attack_config, task)
-    return attack(flsim.train(fl_config, task).weights)
+    task = flsim.make_task_data(config)
+    attack = fit_attack(config, task)
+    return attack(flsim.train(config, task).weights)
 
 
-def write_report(
-    report: AttackReport,
-    fl_config: FlRunConfig,
-    attack_config: AttackConfig,
-    path: Path | str,
-) -> None:
+def write_report(report: AttackReport, config: FlRunConfig, path: Path | str) -> None:
     """Serialize an attack report as stable, pretty-printed JSON.
 
-    The config echo holds every field of both configs in the config-file
+    The config echo holds every field of the config in the config-file
     schema; written out as ``key = value`` lines it is a config file that
     reproduces the audit.
     """
     payload = {
-        "config": flsim.config_as_flat_mapping(fl_config)
-        | flsim.config_as_flat_mapping(attack_config),
+        "config": flsim.config_as_flat_mapping(config),
         "scores": {str(sid): s for sid, s in report.scores.items()},
         "accuracy": report.accuracy,
         "roc_points": [list(pt) for pt in report.roc_points],

@@ -25,7 +25,7 @@ class QuantizerSpec:
 
     def __post_init__(self):
         if not isinstance(self.k, (int, np.integer)) or self.k < 2:
-            raise ValueError(f"quantizer needs an integer k >= 2 levels, got k={self.k!r}")
+            raise ValueError(f"quantizer levels: k must be an integer k >= 2, got k={self.k!r}")
         if not self.c_q > 0:
             raise ValueError(f"clipping radius must be positive, got c_q={self.c_q}")
         # delta and the level numerators scale c_q by 2 and by up to k - 1;

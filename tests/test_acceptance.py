@@ -20,7 +20,7 @@ from qdp.accountant import (
 )
 from qdp.cli import main as cli_main
 from qdp.flsim import FlRunConfig, make_task_data, train, write_run_artifact
-from qdp.lira import AttackConfig, fit_attack
+from qdp.lira import fit_attack
 from qdp.pmf import NoiseSpec, quantized_gaussian_pmf
 from qdp.quantizer import QuantizerSpec, quantize
 
@@ -64,7 +64,7 @@ def _mean_attack_accuracies(mechanisms):
     for seed in TREND_SEEDS:
         task_config = _mia_config(seed, 0.0, None)
         task = make_task_data(task_config)
-        attack = fit_attack(task_config, AttackConfig(), task)
+        attack = fit_attack(task_config, task)
         per_seed.append(
             [attack(train(_mia_config(seed, s, k), task).weights).accuracy for s, k in mechanisms]
         )

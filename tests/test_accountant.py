@@ -118,6 +118,17 @@ class TestRenyiDivergence:
         with pytest.raises(ValueError, match="NaN"):
             renyi_divergence(p, q, alpha)
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [([], [], "no levels"), ([-math.inf, -math.inf], [0.0, 0.0], "p has no mass")],
+        ids=["empty", "massless-p"],
+    )
+    def test_rejects_pmfs_without_mass(self, p, q, message, alpha):
+        # numpy's min() of an empty array has no identity; the error must name the pmfs
+        with pytest.raises(ValueError, match=message):
+            renyi_divergence(p, q, alpha)
+
     def test_rejects_order_below_one(self):
         p = two_level_pmf(0.5)
         with pytest.raises(ValueError, match=">= 1"):

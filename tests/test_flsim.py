@@ -83,6 +83,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="integer k"):
             make_config(k=2.5)
 
+    @given(
+        st.integers(-3, 2**70) | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.floats(),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_quantizer_level_is_the_lattice_rule(self, k, c_q):
+        # the config states no lattice rule of its own: it rejects a level
+        # exactly when QuantizerSpec does, with QuantizerSpec's message
+        try:
+            QuantizerSpec(k, c_q)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                make_config(k=k, c_q=c_q)
+            assert str(info.value) == str(exc)
+        else:
+            assert make_config(k=k, c_q=c_q).k == k
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["sigma", "learning_rate", "c_q"])
     def test_rejects_nonfinite_real(self, name, value):

@@ -16,7 +16,6 @@ from qdp.flsim import (
 )
 from qdp.lira import (
     SIGMA_FLOOR,
-    AttackConfig,
     attack_accuracy,
     audit_run,
     fit_attack,
@@ -33,7 +32,8 @@ def philox(*key):
 
 
 def leak_config(seed, sigma=0.0, k=None, **task):
-    # the task settings default to d = 20, 8 samples per client, margin 1.5
+    # the task settings default to d = 20, 8 samples per client, margin 1.5,
+    # and the audit to 16 shadows and 64 audit samples
     return FlRunConfig(
         n_clients_total=8,
         n_sampled=8,
@@ -49,22 +49,22 @@ def leak_config(seed, sigma=0.0, k=None, **task):
     )
 
 
-class TestAttackConfig:
+class TestAuditSettings:
     def test_rejects_single_shadow(self):
         with pytest.raises(ValueError, match="at least 2 shadow"):
-            AttackConfig(m_shadows=1)
+            leak_config(0, m_shadows=1)
 
     def test_rejects_odd_audit(self):
         with pytest.raises(ValueError, match="even"):
-            AttackConfig(audit_size=63)
+            leak_config(0, audit_size=63)
 
     @pytest.mark.parametrize("name, value", [("m_shadows", 4.5), ("audit_size", 64.0)])
     def test_rejects_non_integer_count(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
-            AttackConfig(**{name: value})
+            leak_config(0, **{name: value})
 
     def test_accepts_numpy_integer_counts(self):
-        assert AttackConfig(m_shadows=np.int64(4), audit_size=np.int64(8)).m_shadows == 4
+        assert leak_config(0, m_shadows=np.int64(4), audit_size=np.int64(8)).m_shadows == 4
 
 
 class TestFitOutDistribution:
@@ -194,15 +194,14 @@ class TestAttackAccuracy:
 
 class TestAuditRun:
     def test_deterministic_given_seeds(self):
-        report_a = audit_run(leak_config(0), AttackConfig())
-        report_b = audit_run(leak_config(0), AttackConfig())
+        report_a = audit_run(leak_config(0))
+        report_b = audit_run(leak_config(0))
         assert report_a.accuracy == report_b.accuracy
         assert report_a.scores == report_b.scores
 
     def test_member_ids_split_train_and_fresh(self):
-        config = leak_config(1)
-        attack = AttackConfig(audit_size=32)
-        report = audit_run(config, attack)
+        config = dataclasses.replace(leak_config(1), audit_size=32)
+        report = audit_run(config)
         n_train = config.n_clients_total * config.samples_per_client
         ids = sorted(report.scores)
         members = [i for i in ids if i < n_train]
@@ -211,7 +210,7 @@ class TestAuditRun:
         assert set(nonmembers) == set(range(n_train, n_train + 16))
 
     def test_overfit_baseline_leaks(self):
-        report = audit_run(leak_config(0), AttackConfig())
+        report = audit_run(leak_config(0))
         assert report.accuracy > 0.55
 
     def test_huge_noise_destroys_signal(self):
@@ -225,7 +224,7 @@ class TestAuditRun:
                 batch_size=32,
             )
             accs.append(
-                audit_run(config, AttackConfig(m_shadows=8, audit_size=1000)).accuracy
+                audit_run(dataclasses.replace(config, m_shadows=8, audit_size=1000)).accuracy
             )
         assert np.mean(accs) == pytest.approx(0.5, abs=0.05)
 
@@ -236,7 +235,7 @@ class TestAuditRun:
         monkeypatch.setattr(flsim, "sgd", no_training)
         config = leak_config(0)
         with pytest.raises(ValueError, match="members"):
-            audit_run(config, AttackConfig(audit_size=1000))
+            audit_run(dataclasses.replace(config, audit_size=1000))
 
     def test_lattice_out_of_float_range_rejected_before_training(self, monkeypatch):
         fits, sgd = [], flsim.sgd
@@ -247,7 +246,7 @@ class TestAuditRun:
 
         monkeypatch.setattr(flsim, "sgd", counted)
         with pytest.raises(ValueError, match="out of float range"):
-            audit_run(dataclasses.replace(leak_config(0, k=3), c_q=1e308), AttackConfig())
+            audit_run(dataclasses.replace(leak_config(0, k=3), c_q=1e308))
         assert fits == []
 
     def test_task_data_drawn_once(self, monkeypatch):
@@ -258,31 +257,31 @@ class TestAuditRun:
             return make_task_data(config)
 
         monkeypatch.setattr(flsim, "make_task_data", counted)
-        audit_run(leak_config(0), AttackConfig(m_shadows=2, audit_size=16))
+        audit_run(dataclasses.replace(leak_config(0), m_shadows=2, audit_size=16))
         assert len(draws) == 1
 
     def test_one_fit_scores_every_mechanism(self):
         # the fit reads the task, the seed and the schedule but not sigma or
         # k; the first target is the fit's own config
-        fit_config, attack_config = leak_config(5), AttackConfig()
+        fit_config = leak_config(5)
         task = make_task_data(fit_config)
-        attack = fit_attack(fit_config, attack_config, task)
+        attack = fit_attack(fit_config, task)
         for sigma, k in ((0.0, None), (0.02, 4), (0.5, 16)):
             config = leak_config(5, sigma=sigma, k=k)
             report = attack(flsim.train(config, task).weights)
-            assert report == audit_run(config, attack_config)
+            assert report == audit_run(config)
 
     def test_shadow_shards_exclude_audit_samples(self):
         # the offline guarantee, checked on the samples: rebuild every draw
         # from its stream key and compare feature rows
-        config, attack = leak_config(4), AttackConfig()
-        half = attack.audit_size // 2
+        config = leak_config(4)
+        half = config.audit_size // 2
         (shard_x, _), _ = make_task_data(config)
         train_x = shard_x.reshape(-1, config.dimension)
         n_train = len(train_x)
         member_rng = flsim._stream(config.seed, lira._MEMBER_STREAM)
         member_ids = np.sort(member_rng.choice(n_train, size=half, replace=False))
-        assert sorted(audit_run(config, attack).scores)[:half] == member_ids.tolist()
+        assert sorted(audit_run(config).scores)[:half] == member_ids.tolist()
         nonmember_rng = flsim._stream(config.seed, lira._NONMEMBER_STREAM)
         nonmember_x, _ = sample_mixture(nonmember_rng, half, config)
 
@@ -290,7 +289,7 @@ class TestAuditRun:
             return {row.tobytes() for row in x}
 
         audit_rows = rows(train_x[member_ids]) | rows(nonmember_x)
-        for m in range(attack.m_shadows):
+        for m in range(config.m_shadows):
             shadow_rng = flsim._stream(config.seed, lira._SHADOW_STREAM, m)
             shadow_x, _ = sample_mixture(shadow_rng, n_train, config)
             assert rows(shadow_x).isdisjoint(audit_rows)
@@ -320,20 +319,18 @@ class TestAuditRun:
 class TestReportFile:
     def test_report_json_contents(self, tmp_path):
         config = leak_config(2)
-        attack = AttackConfig()
-        report = audit_run(config, attack)
+        report = audit_run(config)
         path = tmp_path / "report.json"
-        write_report(report, config, attack, path)
+        write_report(report, config, path)
         payload = json.loads(path.read_text())
         assert set(payload) == {"accuracy", "config", "roc_points", "scores"}
         assert payload["accuracy"] == report.accuracy
         assert payload["config"]["seed"] == str(config.seed)
-        assert len(payload["scores"]) == attack.audit_size
+        assert len(payload["scores"]) == config.audit_size
         assert payload["config"]["m_shadows"] == "16"
 
     def test_report_bytes_stable(self, tmp_path):
         config = leak_config(3)
-        attack = AttackConfig()
-        write_report(audit_run(config, attack), config, attack, tmp_path / "a.json")
-        write_report(audit_run(config, attack), config, attack, tmp_path / "b.json")
+        write_report(audit_run(config), config, tmp_path / "a.json")
+        write_report(audit_run(config), config, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
