@@ -46,7 +46,7 @@ def _load_config(args) -> FlRunConfig:
     mapping = parse_config(args.config)
     if args.seed is not None:
         mapping["seed"] = str(args.seed)
-    return flsim.config_from_flat_mapping(FlRunConfig, mapping)
+    return flsim.config_from_flat_mapping(mapping)
 
 
 def _write_manifest(command: str, config_path: str, seed: int, out_dir: Path) -> None:
@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"qdp {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

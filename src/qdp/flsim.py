@@ -47,15 +47,16 @@ __all__ = [
     "write_run_artifact",
 ]
 
-# Stream tags for deriving per-purpose generators from the run seed.
-_DATA_STREAM = 0
-_SAMPLING_STREAM = 1
-_CLIENT_STREAM = 2
+# The purpose tag of every stream of a run, the key word after the seed. The
+# audit's tags repeat training's, so those streams collide (see the README).
+_PURPOSES = {"data": 0, "sampling": 1, "client": 2, "member": 0, "nonmember": 1, "shadow": 2}
 
 
-def _stream(*key: int) -> np.random.Generator:
-    # SeedSequence reads a missing trailing key word as 0: keys that differ
-    # only by trailing zeros, such as (s, t) and (s, t, 0), share one stream.
+def _stream(seed: int, purpose: str, *counters: int) -> np.random.Generator:
+    # The key (seed, tag, *counters) is never padded: SeedSequence reads a
+    # missing trailing word as 0 only while the key fits its 4-word pool, so
+    # (s, t) and (s, t, 0) share one stream, and a seed >= 2**32 takes two words.
+    key = (seed, _PURPOSES[purpose], *counters)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
@@ -149,7 +150,7 @@ def make_task_data(config: FlRunConfig):
     Deterministic in the run seed: shard i is the i-th ``sample_mixture`` draw
     of the data stream, and the test set the draw after the last shard.
     """
-    rng = _stream(config.seed, _DATA_STREAM)
+    rng = _stream(config.seed, "data")
     shards = [
         sample_mixture(rng, config.samples_per_client, config)
         for _ in range(config.n_clients_total)
@@ -308,11 +309,11 @@ def train(config: FlRunConfig, task=None) -> RunResult:
     weights = np.zeros(config.dimension + 1)
     metrics: list[tuple[int, float, float]] = []
     for t in range(config.rounds):
-        sampling_rng = _stream(config.seed, _SAMPLING_STREAM, t)
+        sampling_rng = _stream(config.seed, "sampling", t)
         sampled = np.sort(
             sampling_rng.choice(config.n_clients_total, size=config.n_sampled, replace=False)
         )
-        rngs = [_stream(config.seed, _CLIENT_STREAM, t, int(i)) for i in sampled]
+        rngs = [_stream(config.seed, "client", t, int(i)) for i in sampled]
         start = np.broadcast_to(weights, (len(sampled), len(weights)))
         local = sgd(
             start, shard_x[sampled], shard_y[sampled], config.local_steps,
@@ -357,25 +358,24 @@ def _parse_value(key: str, text: str, hint):
         raise ValueError(f"config key {key!r}: cannot parse {text!r} as {hint.__name__}") from exc
 
 
-def config_from_flat_mapping(cls, mapping: dict[str, str]):
-    """Build the config dataclass ``cls`` from the schema of ``config_as_flat_mapping``.
+def config_from_flat_mapping(mapping: dict[str, str]) -> FlRunConfig:
+    """Build a ``FlRunConfig`` from the schema of ``config_as_flat_mapping``.
 
     Values are parsed by each field's annotation; ``none`` (any case) gives
-    None where a field admits it. A key that is not a field of ``cls`` is an
-    error, and a field without a default must be present. Errors name the
-    offending key.
+    None where a field admits it. A key that is not a field is an error, and
+    a field without a default must be present. Errors name the offending key.
     """
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(FlRunConfig)
     for key in mapping:
         if key not in hints:
             raise ValueError(f"unknown config key {key!r}")
     values = {}
-    for f in dataclasses.fields(cls):
+    for f in dataclasses.fields(FlRunConfig):
         if f.name in mapping:
             values[f.name] = _parse_value(f.name, mapping[f.name], hints[f.name])
         elif f.default is dataclasses.MISSING:
             raise ValueError(f"missing config key {f.name!r}")
-    return cls(**values)
+    return FlRunConfig(**values)
 
 
 def write_run_artifact(result: RunResult, out_dir: Path | str) -> None:

@@ -198,6 +198,25 @@ class TestSmallSigmaBudgets:
         assert epsilon_one(mech(1.0, 8)) == pytest.approx(0.4426, abs=1e-4)
         assert epsilon_infinity(mech(1.0, 8)) == pytest.approx(3.8493, abs=1e-4)
 
+    def test_readme_bound_rises_with_sigma_while_exact_falls(self):
+        # the README's table at c_q = 1: (k, sigma) -> (the paper's bound, exact D_inf)
+        table = {
+            (2, 1.0): (1.3189, 0.68905),
+            (2, 10.0): (3.2261, 0.07966),
+            (2, 100.0): (5.5242, 0.00798),
+            (16, 10.0): (5.9402, 0.08583),
+            (16, 100.0): (8.2323, 0.00804),
+        }
+        measured = {}
+        for (k, sigma), (bound, exact) in table.items():
+            m = mech(sigma, k)
+            p, q = quantized_gaussian_pmf(0.5, m), quantized_gaussian_pmf(-0.5, m)
+            measured[k, sigma] = epsilon_infinity(m), renyi_divergence(p, q, math.inf)
+            assert measured[k, sigma] == pytest.approx((bound, exact), rel=1e-3)
+        k2 = [measured[2, sigma] for sigma in (1.0, 10.0, 100.0)]
+        assert k2[0][0] < k2[1][0] < k2[2][0]
+        assert k2[0][1] > k2[1][1] > k2[2][1]
+
     @pytest.mark.parametrize("sigma", [1e-9, 1e-4, 0.01, 30.0, 1e4, 1e7])
     @pytest.mark.parametrize("k", [2, 3, 8, 1024])
     def test_finite_and_ordered_everywhere(self, sigma, k):

@@ -378,6 +378,20 @@ class TestMia:
         assert (again / "report.json").read_bytes() == (first / "report.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, config", [("fl-train", "fl_smoke.conf"), ("mia", "mia_base.conf")]
+)
+def test_unallocatable_test_set_is_runtime_failure(capsys, tmp_path, command, config):
+    # numpy refuses the ~7 PiB test set before allocating any of it
+    text = (CONFIGS / config).read_text()
+    huge = tmp_path / "huge.conf"
+    huge.write_text(text.replace("test_samples = 2000", "test_samples = 1000000000000000"))
+    code, _, err = run(capsys, command, "--config", str(huge), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith(f"qdp {command}: error: Unable to allocate")
+    assert not (tmp_path / "o").exists()
+
+
 class TestConfigParser:
     def test_comments_and_whitespace(self, tmp_path):
         path = tmp_path / "c.conf"
@@ -434,7 +448,7 @@ class TestConfigSchema:
     @given(fl_configs())
     def test_flat_mapping_round_trips(self, config):
         flat = config_as_flat_mapping(config)
-        assert config_from_flat_mapping(FlRunConfig, flat) == config
+        assert config_from_flat_mapping(flat) == config
 
     @settings(max_examples=50, deadline=None)
     @given(fl_configs())
@@ -447,40 +461,35 @@ class TestConfigSchema:
             out = Path(tmp)
             write_run_artifact(RunResult(config=config, weights=weights, metrics=[]), out)
             mapping = parse_config(out / "config")
-            assert config_from_flat_mapping(FlRunConfig, mapping) == config
+            assert config_from_flat_mapping(mapping) == config
 
             write_report(report, config, out / "report.json")
             echo = json.loads((out / "report.json").read_text())["config"]
             (out / "echo.conf").write_text("".join(f"{k} = {v}\n" for k, v in echo.items()))
             mapping = parse_config(out / "echo.conf")
-        assert config_from_flat_mapping(FlRunConfig, mapping) == config
+        assert config_from_flat_mapping(mapping) == config
 
     def test_run_config_keys_are_the_config_file_keys_in_order(self):
         # mia_base.conf lists every field, the audit's included
         mapping = parse_config(CONFIGS / "mia_base.conf")
-        config = config_from_flat_mapping(FlRunConfig, mapping)
+        config = config_from_flat_mapping(mapping)
         assert list(config_as_flat_mapping(config)) == list(mapping)
 
     def test_none_parses_in_any_case(self):
         for text in ("None", "NONE"):
             mapping = {**parse_config(CONFIGS / "mia_base.conf"), "k": text}
-            assert config_from_flat_mapping(FlRunConfig, mapping).k is None
+            assert config_from_flat_mapping(mapping).k is None
 
     @pytest.mark.parametrize(
-        "cls, key, value",
-        [
-            (FlRunConfig, "rounds", "2.5"),
-            (FlRunConfig, "k", "many"),
-            (FlRunConfig, "m_shadows", "many"),
-        ],
+        "key, value", [("rounds", "2.5"), ("k", "many"), ("m_shadows", "many")]
     )
-    def test_parse_error_names_key(self, cls, key, value):
+    def test_parse_error_names_key(self, key, value):
         mapping = {**parse_config(CONFIGS / "mia_base.conf"), key: value}
         with pytest.raises(ValueError, match=f"config key '{key}'"):
-            config_from_flat_mapping(cls, mapping)
+            config_from_flat_mapping(mapping)
 
     def test_unknown_key_rejected(self):
         # the loader itself, not only the CLI, rejects a key that is no field
         mapping = {**parse_config(CONFIGS / "mia_base.conf"), "optimizer": "adam"}
         with pytest.raises(ValueError, match="^unknown config key 'optimizer'$"):
-            config_from_flat_mapping(FlRunConfig, mapping)
+            config_from_flat_mapping(mapping)

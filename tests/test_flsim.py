@@ -145,7 +145,7 @@ class TestTaskData:
         # shard i is the i-th mixture draw of the data stream, the test set the next
         config = make_config()
         (xs, ys), (test_x, test_y) = make_task_data(config)
-        rng = flsim._stream(config.seed, flsim._DATA_STREAM)
+        rng = flsim._stream(config.seed, "data")
         for i in range(config.n_clients_total):
             x, y = sample_mixture(rng, config.samples_per_client, config)
             np.testing.assert_array_equal(xs[i], x)
@@ -478,14 +478,14 @@ class TestTrain:
         config = make_config(rounds=1, batch_size=3, **overrides)
         result = train(config)
         (xs, ys), _ = make_task_data(config)
-        sampling_rng = flsim._stream(config.seed, flsim._SAMPLING_STREAM, 0)
+        sampling_rng = flsim._stream(config.seed, "sampling", 0)
         sampled = np.sort(
             sampling_rng.choice(config.n_clients_total, size=config.n_sampled, replace=False)
         )
         start = np.zeros((1, config.dimension + 1))
         releases = []
         for i in sampled:
-            rng = flsim._stream(config.seed, flsim._CLIENT_STREAM, 0, int(i))
+            rng = flsim._stream(config.seed, "client", 0, int(i))
             local = sgd(
                 start, xs[i:i + 1], ys[i:i + 1], config.local_steps, config.learning_rate,
                 config.batch_size, [rng],
@@ -496,8 +496,8 @@ class TestTrain:
     @pytest.mark.parametrize(
         "config",
         [
-            config_from_flat_mapping(FlRunConfig, parse_config(CONFIGS / "fl_smoke.conf")),
-            config_from_flat_mapping(FlRunConfig, parse_config(CONFIGS / "mia_base.conf")),
+            config_from_flat_mapping(parse_config(CONFIGS / "fl_smoke.conf")),
+            config_from_flat_mapping(parse_config(CONFIGS / "mia_base.conf")),
             # fl_paper's shape (d = 100, batch 4 of 8, k = 16), fewer clients and rounds
             make_config(n_clients_total=12, n_sampled=6, rounds=4, local_steps=10,
                         batch_size=4, sigma=0.05, k=16, seed=3, dimension=100),
@@ -576,7 +576,7 @@ class TestRunArtifact:
         config = make_config(sigma=0.25, k=16, seed=9)
         write_run_artifact(train(config), tmp_path)
         mapping = parse_config(tmp_path / "config")
-        assert config_from_flat_mapping(FlRunConfig, mapping) == config
+        assert config_from_flat_mapping(mapping) == config
 
 
 class TestUtilityTrend:
