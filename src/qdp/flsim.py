@@ -10,7 +10,10 @@ the membership-inference harness. One flat ``FlRunConfig`` holds every
 setting of a run, the task's included, under the keys of its config file.
 
 All randomness flows through counter-based Philox streams keyed by
-(seed, purpose, round, client). A round's sampled clients train in one
+(seed, purpose, round, client), each the stream of
+``Philox(SeedSequence(key))``. Keys are hashed a batch at a time, exactly as
+``SeedSequence`` hashes them, and ``train`` builds its generators once and
+resets them to each round's keys. A round's sampled clients train in one
 batched call over a leading client axis, each drawing from its own stream,
 so every client's result is fixed by its stream, not by the batching.
 """
@@ -52,12 +55,86 @@ __all__ = [
 _PURPOSES = {"data": 0, "sampling": 1, "client": 2, "member": 0, "nonmember": 1, "shadow": 2}
 
 
+_MASK32 = 2**32 - 1
+
+
+def _stream_keys(seed: int, purpose: str, *counters: int, last=None) -> np.ndarray:
+    """Philox keys of the streams (seed, purpose, *counters, w), one per w of
+    ``last``, or of the one stream (seed, purpose, *counters) when ``last`` is
+    None, as an (n, 2) uint64 array.
+
+    Each is ``SeedSequence(key).generate_state(2, np.uint64)``, the key of
+    ``Philox(SeedSequence(key))``, by a port of numpy's hash (O'Neill's
+    ``seed_seq_fe``) over the whole batch: a shared word of any width splits
+    into uint32 words, least significant first, as numpy splits it, and the
+    varying words must lie in [0, 2**32). The key is never padded:
+    SeedSequence reads a missing trailing word as 0 only while the key fits
+    its 4-word pool, so (s, t) and (s, t, 0) share one stream, and a seed
+    >= 2**32 takes two words.
+    """
+    entropy = []
+    for word in map(int, (seed, _PURPOSES[purpose], *counters)):
+        if word < 0:
+            raise ValueError(f"stream key words must be nonnegative, got {word}")
+        entropy += [word >> s & _MASK32 for s in range(0, max(word.bit_length(), 1), 32)]
+    varying = []
+    if last is not None:
+        last = np.asarray(last)
+        if last.ndim != 1 or last.size and not (
+            np.issubdtype(last.dtype, np.integer) and 0 <= last.min() and last.max() <= _MASK32
+        ):
+            raise ValueError(f"varying stream key words must lie in [0, 2**32), got {last!r}")
+        varying = [last.astype(np.uint32)]
+    n = 1 if last is None else len(last)
+    entropy = [np.full(n, w, dtype=np.uint32) for w in entropy] + varying
+
+    def hasher(const, multiplier):
+        # uint32 arrays wrap as the C code's uint32_t does
+        def hash_(value):
+            nonlocal const
+            value = value ^ const
+            const = const * multiplier & _MASK32
+            value = value * const
+            return value ^ value >> 16
+        return hash_
+
+    def mix(x, y):
+        result = x * 0xCA01F9DD - y * 0x4973F715
+        return result ^ result >> 16
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32)) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(2, np.uint64): four words, paired low word first
+    state = [w.astype(np.uint64) for w in map(hasher(0x8B51F9DD, 0x58F38DED), pool)]
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def _streams(keys: np.ndarray, pool=None) -> list[np.random.Generator]:
+    """Generators at the start of the streams of ``_stream_keys``' ``keys``.
+
+    Without a ``pool`` they are built; a pool of one generator per key is
+    reset to the keys instead, about 5x cheaper: counter 0, the key, and an
+    empty buffer, which is the state ``Philox(key=key)`` starts in.
+    """
+    if pool is None:
+        # uint64 rows: Philox(key=) would read a list of ints as float64
+        return [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+    for rng, key in zip(pool, keys.tolist(), strict=True):
+        rng.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+    return pool
+
+
 def _stream(seed: int, purpose: str, *counters: int) -> np.random.Generator:
-    # The key (seed, tag, *counters) is never padded: SeedSequence reads a
-    # missing trailing word as 0 only while the key fits its 4-word pool, so
-    # (s, t) and (s, t, 0) share one stream, and a seed >= 2**32 takes two words.
-    key = (seed, _PURPOSES[purpose], *counters)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+    (rng,) = _streams(_stream_keys(seed, purpose, *counters))
+    return rng
 
 
 @dataclass(frozen=True)
@@ -89,11 +166,14 @@ class FlRunConfig:
     audit_size: int = 64
 
     def __post_init__(self):
-        # int fields are counts: 4.5 would pass a range check, then fail in training
+        # int fields are counts: 4.5 would pass a range check, then fail in
+        # training, and True would pass as 1
         hints = typing.get_type_hints(FlRunConfig)
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if hints[f.name] is int and not isinstance(value, (int, np.integer)):
+            if hints[f.name] is int and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            ):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if not 1 <= self.n_sampled <= self.n_clients_total:
             raise ValueError(
@@ -308,12 +388,15 @@ def train(config: FlRunConfig, task=None) -> RunResult:
     (shard_x, shard_y), (test_x, test_y) = make_task_data(config) if task is None else task
     weights = np.zeros(config.dimension + 1)
     metrics: list[tuple[int, float, float]] = []
+    sampling_keys = _stream_keys(config.seed, "sampling", last=np.arange(config.rounds))
+    # round 0 builds the sampling and client generators; later rounds reset them
+    sampling_rngs = rngs = None
     for t in range(config.rounds):
-        sampling_rng = _stream(config.seed, "sampling", t)
+        sampling_rngs = _streams(sampling_keys[t:t + 1], sampling_rngs)
         sampled = np.sort(
-            sampling_rng.choice(config.n_clients_total, size=config.n_sampled, replace=False)
+            sampling_rngs[0].choice(config.n_clients_total, size=config.n_sampled, replace=False)
         )
-        rngs = [_stream(config.seed, "client", t, int(i)) for i in sampled]
+        rngs = _streams(_stream_keys(config.seed, "client", t, last=sampled), rngs)
         start = np.broadcast_to(weights, (len(sampled), len(weights)))
         local = sgd(
             start, shard_x[sampled], shard_y[sampled], config.local_steps,

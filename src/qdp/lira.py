@@ -144,8 +144,8 @@ def fit_attack(config: FlRunConfig, task):
     # one shadow per call: of the 64 fits at MIA_TASK, groups of 8 or more
     # measured slower and of 2-4 ~0.13 s faster, worth it only on ROADMAP item
     # 3's terms (beat the parent's mia_sweep IQR, every report.json unchanged)
-    for m in range(config.m_shadows):
-        shadow_rng = flsim._stream(config.seed, "shadow", m)
+    shadow_keys = flsim._stream_keys(config.seed, "shadow", last=np.arange(config.m_shadows))
+    for shadow_rng in flsim._streams(shadow_keys):
         sx, sy = flsim.sample_mixture(shadow_rng, n_train, config)
         (weights,) = flsim.sgd(
             start, sx[None], sy[None], steps, config.learning_rate, n_train, [shadow_rng]

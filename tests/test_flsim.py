@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -120,7 +120,9 @@ class TestConfigValidation:
         [("test_samples", 0), ("seed", -1),
          # non-integer counts pass the range checks and would fail in train
          ("batch_size", 4.5), ("rounds", 2.0), ("local_steps", 1.5), ("seed", 0.5),
-         ("n_sampled", 2.5), ("dimension", "5")],
+         ("n_sampled", 2.5), ("dimension", "5"),
+         # a bool is an int to isinstance, and would train as 0 or 1
+         ("seed", True), ("rounds", True), ("m_shadows", False)],
     )
     def test_message_names_bad_value(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must .*, got {value!r}$"):
@@ -145,7 +147,7 @@ class TestTaskData:
         # shard i is the i-th mixture draw of the data stream, the test set the next
         config = make_config()
         (xs, ys), (test_x, test_y) = make_task_data(config)
-        rng = flsim._stream(config.seed, "data")
+        rng = philox(config.seed, 0)
         for i in range(config.n_clients_total):
             x, y = sample_mixture(rng, config.samples_per_client, config)
             np.testing.assert_array_equal(xs[i], x)
@@ -172,6 +174,65 @@ def keyed_streams(key, spent, m):
     for rng in rngs:
         rng.integers(0, 2**32, size=spent, dtype=np.uint32)
     return rngs
+
+
+class TestStreamKeys:
+    """``_stream_keys`` is numpy's SeedSequence hash over a batch of keys.
+
+    Tied to ``np.random.SeedSequence`` itself, so a numpy whose hash changes
+    fails here. Built generators and reset ones start where the oracle does.
+    """
+
+    @given(
+        st.integers(0, 2**32 - 1) | st.integers(2**32, 2**130),
+        st.sampled_from(sorted(flsim._PURPOSES)),
+        st.lists(st.integers(0, 2) | st.integers(0, 2**70), max_size=3),
+        st.none() | st.lists(st.integers(0, 1) | st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        st.integers(1, 3),
+    )
+    @example(3, "data", [], None, 1)  # 2 words
+    @example(3, "client", [5, 0], [0], 1)  # trailing zeros within the pool
+    @example(2**40 + 7, "client", [5], [0], 2)  # a trailing zero past the pool
+    @example(2**64 + 3, "sampling", [], [0, 1, 2**32 - 1], 3)  # a 3-word seed
+    @settings(max_examples=300, deadline=None)
+    def test_equals_seed_sequence(self, seed, purpose, counters, last, spent):
+        # 2- to 4-word keys and longer ones, any word >= 2**32 split as numpy
+        # splits it; the reset pool has spent words, an odd count half a buffer
+        prefix = (seed, flsim._PURPOSES[purpose], *counters)
+        words = [prefix] if last is None else [(*prefix, w) for w in last]
+        keys = flsim._stream_keys(seed, purpose, *counters, last=last)
+        assert keys.dtype == np.uint64 and keys.shape == (len(words), 2)
+        built = flsim._streams(keys)
+        reset = flsim._streams(keys, keyed_streams((7,), spent, len(words)))
+        for key, a, b, word in zip(keys, built, reset, words):
+            oracle = philox(*word)
+            assert key.tolist() == np.random.SeedSequence(word).generate_state(2, np.uint64).tolist()
+            assert stream_state(a) == stream_state(b) == stream_state(oracle)
+            draws = oracle.standard_normal(3)
+            np.testing.assert_array_equal(a.standard_normal(3), draws)
+            np.testing.assert_array_equal(b.standard_normal(3), draws)
+
+    @pytest.mark.parametrize("seed, same", [(3, True), (2**32 + 1, False), (2**40 + 7, False)])
+    def test_trailing_zero_is_kept(self, seed, same):
+        # (s, 2, 5) and (s, 2, 5, 0) share a stream only while both fit the
+        # 4-word pool, so the key is never padded
+        short = flsim._stream_keys(seed, "client", 5)
+        padded = flsim._stream_keys(seed, "client", 5, last=[0])
+        assert np.array_equal(short, padded) == same
+        assert np.array_equal(philox(seed, 2, 5).random(4), philox(seed, 2, 5, 0).random(4)) == same
+
+    @pytest.mark.parametrize("last", [[-1], [2**32], [0.5], [[1]]])
+    def test_rejects_varying_words_outside_uint32(self, last):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            flsim._stream_keys(0, "client", 0, last=last)
+
+    def test_rejects_negative_words(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            flsim._stream_keys(-1, "data")
+
+    def test_pool_takes_one_generator_per_key(self):
+        with pytest.raises(ValueError):
+            flsim._streams(flsim._stream_keys(0, "client", 0, last=[1, 2]), [philox(0)])
 
 
 class TestBatchIndices:
@@ -478,20 +539,49 @@ class TestTrain:
         config = make_config(rounds=1, batch_size=3, **overrides)
         result = train(config)
         (xs, ys), _ = make_task_data(config)
-        sampling_rng = flsim._stream(config.seed, "sampling", 0)
         sampled = np.sort(
-            sampling_rng.choice(config.n_clients_total, size=config.n_sampled, replace=False)
+            philox(config.seed, 1, 0).choice(
+                config.n_clients_total, size=config.n_sampled, replace=False
+            )
         )
         start = np.zeros((1, config.dimension + 1))
         releases = []
         for i in sampled:
-            rng = flsim._stream(config.seed, "client", 0, int(i))
+            rng = philox(config.seed, 2, 0, int(i))
             local = sgd(
                 start, xs[i:i + 1], ys[i:i + 1], config.local_steps, config.learning_rate,
                 config.batch_size, [rng],
             )
             releases.append(privatize_delta(local - start, config, [rng])[0])
         np.testing.assert_array_equal(result.weights, start[0] + np.mean(releases, axis=0))
+
+    @pytest.mark.parametrize("seed", [2**32 + 1, 2**64 + 3], ids=["2-word-seed", "3-word-seed"])
+    def test_reset_streams_equal_fresh_per_client_streams(self, seed):
+        # train builds its generators in round 0 and resets them after, while
+        # the sampled clients change; a wide seed's keys stay unpadded
+        config = make_config(n_clients_total=6, n_sampled=3, rounds=4, batch_size=3, sigma=0.3,
+                             k=16, seed=seed)
+        data = philox(seed, 0)
+        shards = [sample_mixture(data, config.samples_per_client, config) for _ in range(6)]
+        test_x, test_y = sample_mixture(data, config.test_samples, config)
+        weights = np.zeros(config.dimension + 1)
+        participants, metrics = [], []
+        for t in range(config.rounds):
+            sampled = np.sort(philox(seed, 1, t).choice(6, size=3, replace=False))
+            releases = []
+            for i in sampled:
+                rng = philox(seed, 2, t, int(i))
+                x, y = shards[i]
+                local = sgd(weights[None], x[None], y[None], config.local_steps,
+                            config.learning_rate, config.batch_size, [rng])
+                releases.append(privatize_delta(local - weights, config, [rng])[0])
+            weights = aggregate(weights, np.array(releases))
+            participants.append(tuple(sampled))
+            metrics.append((t + 1, *evaluate(weights, test_x, test_y)))
+        assert len(set(participants)) > 1
+        result = train(config)
+        assert result.weights.tobytes() == weights.tobytes()
+        assert result.metrics == metrics
 
     @pytest.mark.parametrize(
         "config",
