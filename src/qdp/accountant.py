@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,8 +185,10 @@ def calibrate_sigma(target: DpPoint, rounds: int, sensitivity: float) -> float:
     Raises if the target is unreachable at any noise scale (the conversion
     slack alone exceeds it).
     """
-    if not isinstance(rounds, (int, np.integer)) or rounds < 1:
+    if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or rounds < 1:
         raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
+    if rounds > sys.float_info.max:
+        raise ValueError(f"rounds must not exceed the largest float, {sys.float_info.max!r}")
     if not 0 < sensitivity < math.inf:
         raise ValueError(f"sensitivity must be finite and positive, got {sensitivity}")
     if not target.epsilon < math.inf:

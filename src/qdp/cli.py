@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError, OverflowError) as exc:
         print(f"qdp {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,11 +11,12 @@ setting of a run, the task's included, under the keys of its config file.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, purpose, round, client), each the stream of
-``Philox(SeedSequence(key))``. Keys are hashed a batch at a time, exactly as
-``SeedSequence`` hashes them, and ``train`` builds its generators once and
-resets them to each round's keys. A round's sampled clients train in one
-batched call over a leading client axis, each drawing from its own stream,
-so every client's result is fixed by its stream, not by the batching.
+``Philox(SeedSequence(key))``. One ``_streams`` call hashes a batch of keys
+as ``SeedSequence`` does and gives their generators: ``train`` builds every
+round's sampler from one hash, and its client generators in round 0, then
+resets them each round. A round's sampled clients train in one batched call
+over a leading client axis, each drawing from its own stream, so every
+client's result is fixed by its stream, not by the batching.
 """
 
 from __future__ import annotations
@@ -114,13 +115,14 @@ def _stream_keys(seed: int, purpose: str, *counters: int, last=None) -> np.ndarr
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
-def _streams(keys: np.ndarray, pool=None) -> list[np.random.Generator]:
-    """Generators at the start of the streams of ``_stream_keys``' ``keys``.
+def _streams(seed: int, purpose: str, *counters: int, last=None, pool=None):
+    """Generators at the start of the streams whose keys ``_stream_keys`` gives for these key words.
 
     Without a ``pool`` they are built; a pool of one generator per key is
-    reset to the keys instead, about 5x cheaper: counter 0, the key, and an
+    reset to the keys instead, about 10x cheaper: counter 0, the key, and an
     empty buffer, which is the state ``Philox(key=key)`` starts in.
     """
+    keys = _stream_keys(seed, purpose, *counters, last=last)
     if pool is None:
         # uint64 rows: Philox(key=) would read a list of ints as float64
         return [np.random.Generator(np.random.Philox(key=key)) for key in keys]
@@ -130,11 +132,6 @@ def _streams(keys: np.ndarray, pool=None) -> list[np.random.Generator]:
             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
     return pool
-
-
-def _stream(seed: int, purpose: str, *counters: int) -> np.random.Generator:
-    (rng,) = _streams(_stream_keys(seed, purpose, *counters))
-    return rng
 
 
 @dataclass(frozen=True)
@@ -230,7 +227,7 @@ def make_task_data(config: FlRunConfig):
     Deterministic in the run seed: shard i is the i-th ``sample_mixture`` draw
     of the data stream, and the test set the draw after the last shard.
     """
-    rng = _stream(config.seed, "data")
+    (rng,) = _streams(config.seed, "data")
     shards = [
         sample_mixture(rng, config.samples_per_client, config)
         for _ in range(config.n_clients_total)
@@ -266,6 +263,8 @@ def evaluate(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[float, 
 # The largest batch whose replay beats numpy's per-step ``choice``. The
 # replay's loops run over batch positions, and it lost to the calls between
 # b = 40 and b = 64 (n = 4b, 10 steps of 16 or 100 models, 2-core x86-64).
+# Any cutoff <= 200 keeps the replay exact: ``choice`` takes Floyd's path
+# unless n > 10000 and b > n // 50, where it shuffles arange(n) instead.
 _REPLAY_MAX_BATCH = 32
 
 
@@ -388,15 +387,10 @@ def train(config: FlRunConfig, task=None) -> RunResult:
     (shard_x, shard_y), (test_x, test_y) = make_task_data(config) if task is None else task
     weights = np.zeros(config.dimension + 1)
     metrics: list[tuple[int, float, float]] = []
-    sampling_keys = _stream_keys(config.seed, "sampling", last=np.arange(config.rounds))
-    # round 0 builds the sampling and client generators; later rounds reset them
-    sampling_rngs = rngs = None
-    for t in range(config.rounds):
-        sampling_rngs = _streams(sampling_keys[t:t + 1], sampling_rngs)
-        sampled = np.sort(
-            sampling_rngs[0].choice(config.n_clients_total, size=config.n_sampled, replace=False)
-        )
-        rngs = _streams(_stream_keys(config.seed, "client", t, last=sampled), rngs)
+    rngs = None  # round 0 builds the client generators; later rounds reset them
+    for t, sampler in enumerate(_streams(config.seed, "sampling", last=np.arange(config.rounds))):
+        sampled = np.sort(sampler.choice(config.n_clients_total, config.n_sampled, replace=False))
+        rngs = _streams(config.seed, "client", t, last=sampled, pool=rngs)
         start = np.broadcast_to(weights, (len(sampled), len(weights)))
         local = sgd(
             start, shard_x[sampled], shard_y[sampled], config.local_steps,

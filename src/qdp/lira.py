@@ -128,9 +128,9 @@ def fit_attack(config: FlRunConfig, task):
             f"audit set needs {half} members but the target trains on {n_train} samples"
         )
 
-    member_rng = flsim._stream(config.seed, "member")
+    (member_rng,) = flsim._streams(config.seed, "member")
     member_ids = np.sort(member_rng.choice(n_train, size=half, replace=False))
-    nonmember_rng = flsim._stream(config.seed, "nonmember")
+    (nonmember_rng,) = flsim._streams(config.seed, "nonmember")
     fresh_x, fresh_y = flsim.sample_mixture(nonmember_rng, half, config)
 
     audit_x = np.vstack([train_x[member_ids], fresh_x])
@@ -144,8 +144,7 @@ def fit_attack(config: FlRunConfig, task):
     # one shadow per call: of the 64 fits at MIA_TASK, groups of 8 or more
     # measured slower and of 2-4 ~0.13 s faster, worth it only on ROADMAP item
     # 3's terms (beat the parent's mia_sweep IQR, every report.json unchanged)
-    shadow_keys = flsim._stream_keys(config.seed, "shadow", last=np.arange(config.m_shadows))
-    for shadow_rng in flsim._streams(shadow_keys):
+    for shadow_rng in flsim._streams(config.seed, "shadow", last=np.arange(config.m_shadows)):
         sx, sy = flsim.sample_mixture(shadow_rng, n_train, config)
         (weights,) = flsim.sgd(
             start, sx[None], sy[None], steps, config.learning_rate, n_train, [shadow_rng]

@@ -580,9 +580,15 @@ class TestCalibrateSigma:
         assert converted_epsilon(sigma, rounds, 1e-5) <= 5.0
         assert converted_epsilon(sigma * (1 - 1e-9), rounds, 1e-5) > 5.0
 
-    @pytest.mark.parametrize("rounds", [0, -3, 2.5, 3.0, "10"])
+    @pytest.mark.parametrize("rounds", [0, -3, 2.5, 3.0, "10", True, False])
     def test_rounds_must_be_a_positive_integer(self, rounds):
+        # True is a bool, not the count 1, as in FlRunConfig
         with pytest.raises(ValueError, match="rounds must be an integer >= 1"):
+            calibrate_sigma(DpPoint(5.0, 1e-5), rounds=rounds, sensitivity=1.0)
+
+    @pytest.mark.parametrize("rounds", [10**309, 2**1024], ids=["10**309", "2**1024"])
+    def test_rounds_beyond_float_range_named(self, rounds):
+        with pytest.raises(ValueError, match="rounds must not exceed the largest float"):
             calibrate_sigma(DpPoint(5.0, 1e-5), rounds=rounds, sensitivity=1.0)
 
     def test_numpy_integer_rounds_accepted(self):

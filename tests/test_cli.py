@@ -392,6 +392,20 @@ def test_unallocatable_test_set_is_runtime_failure(capsys, tmp_path, command, co
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["fl-train", "mia"])
+def test_oversized_step_count_is_runtime_failure(capsys, tmp_path, command):
+    # full-batch SGD cannot repeat a batch more than a C ssize_t's times
+    text = (CONFIGS / "mia_base.conf").read_text()
+    huge = tmp_path / "huge.conf"
+    huge.write_text(
+        text.replace("local_steps = 10\n", "local_steps = 100000000000000000000000000000\n")
+    )
+    code, _, err = run(capsys, command, "--config", str(huge), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith(f"qdp {command}: error: ")
+    assert not (tmp_path / "o").exists()
+
+
 class TestConfigParser:
     def test_comments_and_whitespace(self, tmp_path):
         path = tmp_path / "c.conf"

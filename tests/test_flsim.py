@@ -177,10 +177,11 @@ def keyed_streams(key, spent, m):
 
 
 class TestStreamKeys:
-    """``_stream_keys`` is numpy's SeedSequence hash over a batch of keys.
+    """``_streams`` hashes a batch of keys with numpy's SeedSequence hash.
 
-    Tied to ``np.random.SeedSequence`` itself, so a numpy whose hash changes
-    fails here. Built generators and reset ones start where the oracle does.
+    The keys of ``_stream_keys`` are tied to ``np.random.SeedSequence``
+    itself, so a numpy whose hash changes fails here. Built generators and
+    reset ones start where the oracle does.
     """
 
     @given(
@@ -202,8 +203,10 @@ class TestStreamKeys:
         words = [prefix] if last is None else [(*prefix, w) for w in last]
         keys = flsim._stream_keys(seed, purpose, *counters, last=last)
         assert keys.dtype == np.uint64 and keys.shape == (len(words), 2)
-        built = flsim._streams(keys)
-        reset = flsim._streams(keys, keyed_streams((7,), spent, len(words)))
+        built = flsim._streams(seed, purpose, *counters, last=last)
+        pool = keyed_streams((7,), spent, len(words))
+        reset = flsim._streams(seed, purpose, *counters, last=last, pool=pool)
+        assert reset is pool
         for key, a, b, word in zip(keys, built, reset, words):
             oracle = philox(*word)
             assert key.tolist() == np.random.SeedSequence(word).generate_state(2, np.uint64).tolist()
@@ -224,15 +227,15 @@ class TestStreamKeys:
     @pytest.mark.parametrize("last", [[-1], [2**32], [0.5], [[1]]])
     def test_rejects_varying_words_outside_uint32(self, last):
         with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
-            flsim._stream_keys(0, "client", 0, last=last)
+            flsim._streams(0, "client", 0, last=last)
 
     def test_rejects_negative_words(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            flsim._stream_keys(-1, "data")
+            flsim._streams(-1, "data")
 
     def test_pool_takes_one_generator_per_key(self):
         with pytest.raises(ValueError):
-            flsim._streams(flsim._stream_keys(0, "client", 0, last=[1, 2]), [philox(0)])
+            flsim._streams(0, "client", 0, last=[1, 2], pool=[philox(0)])
 
 
 class TestBatchIndices:
@@ -557,8 +560,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("seed", [2**32 + 1, 2**64 + 3], ids=["2-word-seed", "3-word-seed"])
     def test_reset_streams_equal_fresh_per_client_streams(self, seed):
-        # train builds its generators in round 0 and resets them after, while
-        # the sampled clients change; a wide seed's keys stay unpadded
+        # train builds its client generators in round 0 and resets them after,
+        # while the sampled clients change; a wide seed's keys stay unpadded
         config = make_config(n_clients_total=6, n_sampled=3, rounds=4, batch_size=3, sigma=0.3,
                              k=16, seed=seed)
         data = philox(seed, 0)

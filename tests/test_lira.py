@@ -280,10 +280,10 @@ class TestAuditRun:
         (shard_x, _), _ = make_task_data(config)
         train_x = shard_x.reshape(-1, config.dimension)
         n_train = len(train_x)
-        member_rng = flsim._stream(config.seed, "member")
+        member_rng = philox(config.seed, flsim._PURPOSES["member"])
         member_ids = np.sort(member_rng.choice(n_train, size=half, replace=False))
         assert sorted(audit_run(config).scores)[:half] == member_ids.tolist()
-        nonmember_rng = flsim._stream(config.seed, "nonmember")
+        nonmember_rng = philox(config.seed, flsim._PURPOSES["nonmember"])
         nonmember_x, _ = sample_mixture(nonmember_rng, half, config)
 
         def rows(x):
@@ -291,7 +291,7 @@ class TestAuditRun:
 
         audit_rows = rows(train_x[member_ids]) | rows(nonmember_x)
         for m in range(config.m_shadows):
-            shadow_rng = flsim._stream(config.seed, "shadow", m)
+            shadow_rng = philox(config.seed, flsim._PURPOSES["shadow"], m)
             shadow_x, _ = sample_mixture(shadow_rng, n_train, config)
             assert rows(shadow_x).isdisjoint(audit_rows)
         assert rows(nonmember_x).isdisjoint(rows(train_x))
@@ -303,6 +303,7 @@ class TestAuditRun:
                 *pair,
                 marks=pytest.mark.xfail(
                     strict=True,
+                    raises=AssertionError,
                     reason="each audit purpose shares its tag with a training purpose; "
                     "re-keying moves the recorded mia_sweep attack accuracies",
                 ),
@@ -317,9 +318,8 @@ class TestAuditRun:
         # purpose's stream at no counters is the one at counters 0: round 0's
         # sampling, client 0 of round 0, shadow 0. Two purposes collide there
         # exactly when they share a tag.
-        assert not np.array_equal(
-            flsim._stream(3, first).random(4), flsim._stream(3, second).random(4)
-        )
+        a, b = (philox(3, flsim._PURPOSES[purpose]) for purpose in (first, second))
+        assert not np.array_equal(a.random(4), b.random(4))
 
 
 class TestReportFile:
