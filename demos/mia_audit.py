@@ -16,7 +16,7 @@ each seed fits 16 shadow models once and trains one target per mechanism.
 import numpy as np
 
 from qdp import FlRunConfig
-from qdp.flsim import make_task_data, train
+from qdp.flsim import train
 from qdp.lira import fit_attack
 
 SEEDS = range(5)
@@ -47,10 +47,8 @@ def mean_accuracies(mechanisms):
     """Mean attack accuracy over SEEDS for each (sigma, k)."""
     per_seed = []
     for seed in SEEDS:
-        task_config = config(seed, *BASELINE)
-        task = make_task_data(task_config)
-        attack = fit_attack(task_config, task)
-        targets = [train(config(seed, sigma, k), task) for sigma, k in mechanisms]
+        attack = fit_attack(config(seed, *BASELINE))
+        targets = [train(config(seed, sigma, k)) for sigma, k in mechanisms]
         per_seed.append([attack(target.weights).accuracy for target in targets])
     return {mech: float(np.mean(accs)) for mech, accs in zip(mechanisms, zip(*per_seed))}
 

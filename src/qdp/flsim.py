@@ -12,11 +12,12 @@ setting of a run, the task's included, under the keys of its config file.
 All randomness flows through counter-based Philox streams keyed by
 (seed, purpose, round, client), each the stream of
 ``Philox(SeedSequence(key))``. One ``_streams`` call hashes a batch of keys
-as ``SeedSequence`` does and gives their generators: ``train`` builds every
-round's sampler from one hash, and its client generators in round 0, then
-resets them each round. A round's sampled clients train in one batched call
-over a leading client axis, each drawing from its own stream, so every
-client's result is fixed by its stream, not by the batching.
+as ``SeedSequence`` does and gives their generators: ``train`` builds each
+round's sampler as the round starts, from one hash of them all, and its
+client generators in round 0, then resets them each round. A round's
+sampled clients train in one batched call over a leading client axis, each
+drawing from its own stream, so every client's result is fixed by its
+stream, not by the batching.
 """
 
 from __future__ import annotations
@@ -118,14 +119,14 @@ def _stream_keys(seed: int, purpose: str, *counters: int, last=None) -> np.ndarr
 def _streams(seed: int, purpose: str, *counters: int, last=None, pool=None):
     """Generators at the start of the streams whose keys ``_stream_keys`` gives for these key words.
 
-    Without a ``pool`` they are built; a pool of one generator per key is
-    reset to the keys instead, about 10x cheaper: counter 0, the key, and an
-    empty buffer, which is the state ``Philox(key=key)`` starts in.
+    Without a ``pool`` each is built as it is taken; a pool of one generator
+    per key is reset to the keys instead, about 10x cheaper: counter 0, the
+    key, and an empty buffer, which is the state ``Philox(key=key)`` starts in.
     """
     keys = _stream_keys(seed, purpose, *counters, last=last)
     if pool is None:
         # uint64 rows: Philox(key=) would read a list of ints as float64
-        return [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+        return (np.random.Generator(np.random.Philox(key=key)) for key in keys)
     for rng, key in zip(pool, keys.tolist(), strict=True):
         rng.bit_generator.state = {
             "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
@@ -377,20 +378,19 @@ def aggregate(weights: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     return weights + np.mean(deltas, axis=0)
 
 
-def train(config: FlRunConfig, task=None) -> RunResult:
-    """Run the full federated loop and log test metrics each round.
+def train(config: FlRunConfig) -> RunResult:
+    """Draw the task with ``make_task_data``, run the federated loop, and log test metrics.
 
-    ``task`` must be ``make_task_data(config)``, drawn here when not given, so
-    that the config reproduces the run. Non-finite weights abort it, naming the
+    The config alone fixes the run. Non-finite weights abort it, naming the
     round and, when local training diverged, the lowest sampled client that did.
     """
-    (shard_x, shard_y), (test_x, test_y) = make_task_data(config) if task is None else task
+    (shard_x, shard_y), (test_x, test_y) = make_task_data(config)
     weights = np.zeros(config.dimension + 1)
     metrics: list[tuple[int, float, float]] = []
     rngs = None  # round 0 builds the client generators; later rounds reset them
     for t, sampler in enumerate(_streams(config.seed, "sampling", last=np.arange(config.rounds))):
         sampled = np.sort(sampler.choice(config.n_clients_total, config.n_sampled, replace=False))
-        rngs = _streams(config.seed, "client", t, last=sampled, pool=rngs)
+        rngs = list(_streams(config.seed, "client", t, last=sampled, pool=rngs))
         start = np.broadcast_to(weights, (len(sampled), len(weights)))
         local = sgd(
             start, shard_x[sampled], shard_y[sampled], config.local_steps,
@@ -466,5 +466,5 @@ def write_run_artifact(result: RunResult, out_dir: Path | str) -> None:
         writer.writerow(["round", "test_accuracy", "test_loss"])
         for row in result.metrics:
             writer.writerow([row[0], repr(row[1]), repr(row[2])])
-    payload = {"round": result.config.rounds, "weights": list(result.weights)}
+    payload = {"round": int(result.config.rounds), "weights": list(result.weights)}
     (out / "model.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

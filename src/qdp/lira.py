@@ -106,10 +106,10 @@ def attack_accuracy(scores, is_member) -> tuple[float, list[tuple[float, float]]
     return accuracy, [(0.0, 0.0)] + list(zip(fpr[::-1].tolist(), tpr[::-1].tolist()))
 
 
-def fit_attack(config: FlRunConfig, task):
-    """Draw the audit set from ``task``, fit the shadows, and return ``attack``.
+def fit_attack(config: FlRunConfig):
+    """Draw the audit set from the run's task, fit the shadows, and return ``attack``.
 
-    ``task`` is ``flsim.make_task_data(config)``; ``attack(target_weights)``
+    The task is ``flsim.make_task_data(config)``; ``attack(target_weights)``
     returns an ``AttackReport``. Audit members come from the task's training
     data; non-members and every shadow shard are fresh draws, each from its
     own stream, so no shadow trains on an audit sample. Each of the
@@ -118,8 +118,8 @@ def fit_attack(config: FlRunConfig, task):
     local_steps`` full-batch steps at its learning rate. Scoring works on
     raw losses.
     """
+    (shard_x, shard_y), _ = flsim.make_task_data(config)
     half = config.audit_size // 2
-    (shard_x, shard_y), _ = task
     train_x = shard_x.reshape(-1, config.dimension)
     train_y = shard_y.reshape(-1)
     n_train = len(train_y)
@@ -166,10 +166,8 @@ def fit_attack(config: FlRunConfig, task):
 
 
 def audit_run(config: FlRunConfig) -> AttackReport:
-    """Train the target on its task and mount the offline attack of ``fit_attack`` on it."""
-    task = flsim.make_task_data(config)
-    attack = fit_attack(config, task)
-    return attack(flsim.train(config, task).weights)
+    """Train the target and mount the offline attack of ``fit_attack`` on it."""
+    return fit_attack(config)(flsim.train(config).weights)
 
 
 def write_report(report: AttackReport, config: FlRunConfig, path: Path | str) -> None:

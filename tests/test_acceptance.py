@@ -19,7 +19,7 @@ from qdp.accountant import (
     renyi_divergence,
 )
 from qdp.cli import main as cli_main
-from qdp.flsim import FlRunConfig, make_task_data, train, write_run_artifact
+from qdp.flsim import FlRunConfig, train, write_run_artifact
 from qdp.lira import fit_attack
 from qdp.pmf import NoiseSpec, quantized_gaussian_pmf
 from qdp.quantizer import QuantizerSpec, quantize
@@ -62,11 +62,9 @@ def _mean_attack_accuracies(mechanisms):
     """
     per_seed = []
     for seed in TREND_SEEDS:
-        task_config = _mia_config(seed, 0.0, None)
-        task = make_task_data(task_config)
-        attack = fit_attack(task_config, task)
+        attack = fit_attack(_mia_config(seed, 0.0, None))
         per_seed.append(
-            [attack(train(_mia_config(seed, s, k), task).weights).accuracy for s, k in mechanisms]
+            [attack(train(_mia_config(seed, s, k)).weights).accuracy for s, k in mechanisms]
         )
     return [float(np.mean(accs)) for accs in zip(*per_seed)]
 

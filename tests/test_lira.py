@@ -250,26 +250,13 @@ class TestAuditRun:
             audit_run(dataclasses.replace(leak_config(0, k=3), c_q=1e308))
         assert fits == []
 
-    def test_task_data_drawn_once(self, monkeypatch):
-        draws = []
-
-        def counted(config):
-            draws.append(config)
-            return make_task_data(config)
-
-        monkeypatch.setattr(flsim, "make_task_data", counted)
-        audit_run(dataclasses.replace(leak_config(0), m_shadows=2, audit_size=16))
-        assert len(draws) == 1
-
     def test_one_fit_scores_every_mechanism(self):
         # the fit reads the task, the seed and the schedule but not sigma or
         # k; the first target is the fit's own config
-        fit_config = leak_config(5)
-        task = make_task_data(fit_config)
-        attack = fit_attack(fit_config, task)
+        attack = fit_attack(leak_config(5))
         for sigma, k in ((0.0, None), (0.02, 4), (0.5, 16)):
             config = leak_config(5, sigma=sigma, k=k)
-            report = attack(flsim.train(config, task).weights)
+            report = attack(flsim.train(config).weights)
             assert report == audit_run(config)
 
     def test_shadow_shards_exclude_audit_samples(self):
