@@ -242,13 +242,6 @@ def _logits(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x @ weights[..., :-1, None])[..., 0] + weights[..., -1:]
 
 
-def _gradient(weights, x, y):
-    # weights (m, d+1), x (m, b, d), y (m, b)
-    residual = special.expit(_logits(weights, x)) - y
-    grad = (x.transpose(0, 2, 1) @ residual[..., None])[..., 0]
-    return np.concatenate([grad, residual.sum(axis=-1, keepdims=True)], axis=-1) / y.shape[-1]
-
-
 def cross_entropy_losses(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample sigmoid cross-entropy, the loss minimized during training."""
     z = _logits(weights, x)
@@ -315,9 +308,11 @@ def sgd(
     the draws, and the generator state after them, of a ``rng.choice(n,
     size=batch_size, replace=False)`` per step, in blocks of ~2**18 indices.
     When the batch covers the set, every step takes it whole and nothing is
-    drawn. Model j's result equals that of a one-model call on its own rows,
-    bit for bit. Clients train from the global weights and shadow models
-    from zeros. ``weights`` is not modified.
+    drawn. Both paths share one step, which works in place in a
+    logit/residual buffer and a gradient buffer allocated once per call.
+    Model j's result equals that of a one-model call on its own rows, bit
+    for bit. Clients train from the global weights and shadow models from
+    zeros. ``weights`` is not modified.
     """
     m, n = np.shape(y)
     if n == 0:
@@ -338,8 +333,22 @@ def sgd(
         batches = ((x[rows, idx], y[rows, idx]) for idx in steps_idx)
     else:
         batches = itertools.repeat((x, y), steps)
+    b = min(batch_size, n)
+    z = np.empty((m, b, 1))  # the logits, then in place the residuals r
+    r = z[..., 0]
+    grad = np.empty_like(weights)  # (x^T r, sum r), then in place the step
+    w, bias = weights[:, :-1, None], weights[:, -1:]
+    grad_w, grad_bias = grad[:, :-1, None], grad[:, -1]
     for bx, by in batches:
-        weights -= learning_rate * _gradient(weights, bx, by)
+        np.matmul(bx, w, out=z)
+        r += bias
+        special.expit(r, out=r)
+        r -= by
+        np.matmul(bx.transpose(0, 2, 1), z, out=grad_w)
+        np.add.reduce(r, axis=-1, out=grad_bias)
+        grad /= b
+        grad *= learning_rate
+        weights -= grad
     return weights
 
 
@@ -359,11 +368,15 @@ def privatize_delta(
     if np.ndim(deltas) != 2 or not 0 < len(deltas) == len(rngs):
         raise ValueError(f"need one generator per row: {len(rngs)} for {np.shape(deltas)} deltas")
     h = clip_vector(deltas, config.c_q / 2.0)
-    width = h.shape[-1]
     if config.sigma > 0:
-        h = h + config.sigma * np.stack([rng.standard_normal(width) for rng in rngs])
+        noise = np.empty(h.shape)
+        for rng, row in zip(rngs, noise):
+            rng.standard_normal(out=row)
+        h = h + config.sigma * noise
     if config.k is not None:
-        uniforms = np.stack([rng.random(width) for rng in rngs])
+        uniforms = np.empty(h.shape)
+        for rng, row in zip(rngs, uniforms):
+            rng.random(out=row)
         h = quantize(h, QuantizerSpec(k=config.k, c_q=config.c_q), uniforms)
     return h
 

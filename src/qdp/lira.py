@@ -14,6 +14,7 @@ fits once and returns a scorer for targets of any sigma and k.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +37,13 @@ __all__ = [
 
 # Degenerate shadow agreement must not produce infinite z-scores.
 SIGMA_FLOOR = 1e-6
+
+# Shadows fitted per ``flsim.sgd`` call; every group size gives the same
+# bytes. ``fit_attack`` at MIA_TASK, seed 9 (64 fits; median of 8 alternating
+# runs, one BLAS thread, 2-core x86-64) took 1.07 s one to a call, 0.94 s in
+# pairs, 0.90 s in threes, 1.13 s in fours and 1.64 s in eights, whose
+# stacked shards leave the cache.
+_SHADOW_GROUP = 3
 
 
 @dataclass(frozen=True)
@@ -115,8 +123,10 @@ def fit_attack(config: FlRunConfig):
     own stream, so no shadow trains on an audit sample. Each of the
     ``config.m_shadows`` shadow models is trained centrally on as many
     samples as the target trains on, for the target's ``rounds *
-    local_steps`` full-batch steps at its learning rate. Scoring works on
-    raw losses.
+    local_steps`` full-batch steps at its learning rate. The shadows are
+    fitted ``_SHADOW_GROUP`` to an ``sgd`` call, each group's shards drawn
+    just before its fit; each shadow's weights are those of its own
+    one-model fit, bit for bit. Scoring works on raw losses.
     """
     (shard_x, shard_y), _ = flsim.make_task_data(config)
     half = config.audit_size // 2
@@ -139,17 +149,18 @@ def fit_attack(config: FlRunConfig):
     is_member = np.arange(2 * half) < half
 
     steps = config.rounds * config.local_steps
-    start = np.zeros((1, config.dimension + 1))
     models = []
-    # one shadow per call: of the 64 fits at MIA_TASK, groups of 8 or more
-    # measured slower and of 2-4 ~0.13 s faster, worth it only on ROADMAP item
-    # 3's terms (beat the parent's mia_sweep IQR, every report.json unchanged)
-    for shadow_rng in flsim._streams(config.seed, "shadow", last=np.arange(config.m_shadows)):
-        sx, sy = flsim.sample_mixture(shadow_rng, n_train, config)
-        (weights,) = flsim.sgd(
-            start, sx[None], sy[None], steps, config.learning_rate, n_train, [shadow_rng]
-        )
-        models.append(weights)
+    shadow_rngs = flsim._streams(config.seed, "shadow", last=np.arange(config.m_shadows))
+    # one group's shards at a time, in buffers reused by every group: all 64
+    # drawn up front would hold ~26 MB at MIA_TASK
+    sx = np.empty((_SHADOW_GROUP, n_train, config.dimension))
+    sy = np.empty((_SHADOW_GROUP, n_train))
+    while group := list(itertools.islice(shadow_rngs, _SHADOW_GROUP)):
+        for j, rng in enumerate(group):
+            sx[j], sy[j] = flsim.sample_mixture(rng, n_train, config)
+        g = len(group)
+        start = np.zeros((g, config.dimension + 1))
+        models.extend(flsim.sgd(start, sx[:g], sy[:g], steps, config.learning_rate, n_train, group))
     mu_out, sigma_out = fit_out_distribution(models, audit_x, audit_y)
 
     def attack(target_weights: np.ndarray) -> AttackReport:

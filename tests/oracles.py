@@ -3,7 +3,8 @@
 Everything here is computed by adaptive quadrature, brute-force summation
 or textbook formulas in high-precision arithmetic, never by the library's
 float closed forms, so the two routes stay independent. The one exception,
-``choice_sgd``, shares the library's gradient and pins its stream layout.
+``choice_sgd``, keeps the library's gradient arithmetic in its allocating
+form and pins its stream layout and its buffered step.
 """
 
 import math
@@ -11,9 +12,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate
-
-from qdp import flsim
+from scipy import integrate, special
 
 
 def norm_pdf(t, mu, sigma):
@@ -216,9 +215,11 @@ def choice_sgd(weights, x, y, steps, learning_rate, batch_size, rngs):
     """``qdp.flsim.sgd`` as a per-step loop: every model draws each step's batch
     with its own ``rng.choice(n, size=batch_size, replace=False)``.
 
-    The reference for the library's one-block index draw. It shares the
-    library's gradient, so swapped into ``train`` it must give the same
-    bytes: that pins each client stream's layout, not the arithmetic.
+    The reference for the library's one-block index draw and its buffered
+    step. Each step allocates its logits, residuals and gradient as plain
+    expressions, the same operations in the same order as the library's
+    in-place step, so swapped into ``train`` it must give the same bytes:
+    that pins each client stream's layout and the step's arithmetic.
     """
     m, n = np.shape(y)
     if n == 0:
@@ -233,5 +234,8 @@ def choice_sgd(weights, x, y, steps, learning_rate, batch_size, rngs):
             bx, by = x[rows, idx], y[rows, idx]
         else:
             bx, by = x, y
-        weights -= learning_rate * flsim._gradient(weights, bx, by)
+        residual = special.expit((bx @ weights[:, :-1, None])[..., 0] + weights[:, -1:]) - by
+        grad = (bx.transpose(0, 2, 1) @ residual[..., None])[..., 0]
+        grad = np.concatenate([grad, residual.sum(axis=-1, keepdims=True)], axis=-1)
+        weights -= learning_rate * (grad / by.shape[-1])
     return weights

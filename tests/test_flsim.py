@@ -615,12 +615,18 @@ class TestTrain:
             make_config(n_clients_total=4, n_sampled=3, rounds=2, local_steps=10,
                         batch_size=64, sigma=0.02, k=16, seed=6, dimension=20,
                         samples_per_client=256),
+            # a learning rate and batch that are not powers of two, unquantized,
+            # so a reordered scaling in the step moves the bytes
+            make_config(n_clients_total=4, n_sampled=3, rounds=3, local_steps=10,
+                        learning_rate=0.3, batch_size=6, samples_per_client=10, seed=7),
         ],
-        ids=["fl_smoke", "mia_base", "fl_paper-shape", "mia-target-shape", "batch-64-of-256"],
+        ids=["fl_smoke", "mia_base", "fl_paper-shape", "mia-target-shape", "batch-64-of-256",
+             "unrounded-scaling"],
     )
     def test_equals_per_step_choice_oracle(self, config, monkeypatch):
         # the one-block index draw keeps every byte of the per-step rng.choice
-        # loop, on both sides of the replay's cutoff
+        # loop, on both sides of the replay's cutoff, and the buffered step
+        # every byte of the allocating expression
         result = train(config)
         monkeypatch.setattr(flsim, "sgd", choice_sgd)
         oracle = train(config)

@@ -2,13 +2,14 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdp import flsim
+from qdp import flsim, lira
 from qdp.flsim import (
     FlRunConfig,
     cross_entropy_losses,
@@ -307,6 +308,46 @@ class TestAuditRun:
         # exactly when they share a tag.
         a, b = (philox(3, flsim._PURPOSES[purpose]) for purpose in (first, second))
         assert not np.array_equal(a.random(4), b.random(4))
+
+
+class TestShadowFits:
+    def test_grouped_fits_equal_one_model_fits(self, monkeypatch):
+        # one shadow short of two full groups, so the last group is ragged;
+        # each shadow's weights must be those of fitting it alone
+        group = lira._SHADOW_GROUP
+        config = dataclasses.replace(leak_config(6), m_shadows=2 * group - 1)
+        fits, sgd = [], flsim.sgd
+
+        def recorded(*args):
+            fits.append(sgd(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(flsim, "sgd", recorded)
+        fit_attack(config)
+        assert [len(w) for w in fits] == [group, group - 1]
+        n_train = config.n_clients_total * config.samples_per_client
+        steps = config.rounds * config.local_steps
+        alone = []
+        for m in range(config.m_shadows):
+            rng = philox(config.seed, flsim._PURPOSES["shadow"], m)
+            x, y = sample_mixture(rng, n_train, config)
+            start = np.zeros((1, config.dimension + 1))
+            alone.append(sgd(start, x[None], y[None], steps, config.learning_rate, n_train, [rng]))
+        assert np.concatenate(fits).tobytes() == np.concatenate(alone).tobytes()
+
+    def test_shards_are_drawn_as_each_group_fits(self):
+        # 64 shards of 1024 x 50 hold ~26 MiB when drawn before the first fit
+        config = dataclasses.replace(
+            leak_config(0, dimension=50, samples_per_client=128, m_shadows=64),
+            rounds=1, local_steps=1,
+        )
+        tracemalloc.start()
+        try:
+            fit_attack(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestReportFile:
